@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Builds and runs the full test suite under AddressSanitizer and
-# ThreadSanitizer (separate build trees, both kept for incremental reruns).
+# Builds and runs the full test suite under AddressSanitizer (with
+# UndefinedBehaviorSanitizer, every report fatal) and ThreadSanitizer
+# (separate build trees, both kept for incremental reruns).
 # The sanitizer builds also register tsan_stress_test with ctest, so the
 # straggler/data-race stress drivers run under the real checkers.
 #
@@ -57,8 +58,11 @@ run_one() {
     # store_test rides along: segment append/reopen/compact and the cache
     # snapshot round trip are raw-byte and pread-heavy paths where ASan
     # catches off-by-one record framing that the checksums alone mask.
+    # envelope_mutation_test rides along: it feeds checksum-valid mutants
+    # of every envelope kind to the payload parsers, so an over-read or UB
+    # there surfaces as a sanitizer report rather than a wrong Status.
     ctest --test-dir "${build_dir}" --output-on-failure \
-      -R '^(serve_test|tsan_stress_test|stream_test|ingest_test|sparsifier_differential_test|transport_test|store_test)$'
+      -R '^(serve_test|tsan_stress_test|stream_test|ingest_test|sparsifier_differential_test|transport_test|store_test|envelope_mutation_test)$'
     # The SIMD dispatch layer has two code paths per kernel (vectorized
     # and forced-scalar); run the kernels' consumers under the checker on
     # both so neither path escapes sanitizer coverage.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/bitio.h"
+#include "util/fnv1a.h"
 #include "util/metrics.h"
 
 namespace dcs {
@@ -19,15 +20,6 @@ constexpr uint64_t kFrameMagic = 0xFA5C;
 // corrupted length field must never drive a huge reserve.
 constexpr uint64_t kMaxChunks = uint64_t{1} << 32;
 constexpr uint64_t kMaxMessageBits = uint64_t{1} << 48;
-
-uint32_t Fnv1a(const std::vector<uint8_t>& bytes) {
-  uint32_t hash = 2166136261u;
-  for (uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 }  // namespace
 

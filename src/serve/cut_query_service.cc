@@ -89,7 +89,6 @@ CutQueryService::CutQueryService(CutQueryServiceOptions options)
   if (options_.enable_cache) {
     CutQueryCache::Options cache_options;
     cache_options.capacity = options_.cache_capacity;
-    cache_options.num_stripes = options_.cache_stripes;
     cache_ = std::make_unique<CutQueryCache>(cache_options);
   }
   if (options_.num_threads > 1) {

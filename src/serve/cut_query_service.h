@@ -60,7 +60,6 @@ struct CutQueryServiceOptions {
   // Memoization cache over cacheable objects.
   bool enable_cache = true;
   int64_t cache_capacity = 1 << 16;
-  int cache_stripes = 8;
 };
 
 class CutQueryService {

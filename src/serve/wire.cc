@@ -6,87 +6,25 @@
 
 #include "sketch/serialization.h"
 #include "util/bitio.h"
+#include "util/fnv1a.h"
 
 namespace dcs {
 namespace {
-
-// RPC envelope magic, distinct from the serialization envelope (0xD5CE)
-// and the channel frame (0xFA5C): a body misfed to the wrong parser dies
-// at the first header field.
-constexpr uint64_t kRpcMagic = 0xA9C5;
-constexpr uint64_t kRpcVersion = 1;
 
 // Caps enforced before any allocation driven by a header-declared count.
 constexpr uint64_t kMaxBatchQueries = uint64_t{1} << 20;
 constexpr uint64_t kMaxStatusMessageBytes = 4096;
 
-uint32_t Fnv1a(const std::vector<uint8_t>& bytes) {
-  uint32_t hash = 2166136261u;
-  for (uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 16777619u;
-  }
-  return hash;
-}
-
-Message SealRpc(RpcKind kind, const BitWriter& payload) {
-  BitWriter out;
-  out.WriteBits(kRpcMagic, 16);
-  out.WriteBits(kRpcVersion, 8);
-  out.WriteBits(static_cast<uint64_t>(kind), 8);
-  out.WriteEliasGamma(static_cast<uint64_t>(payload.bit_count()));
-  out.WriteBits(Fnv1a(payload.bytes()), 32);
-  out.AppendBits(payload.bytes(), payload.bit_count());
-  return SealMessage(out);
-}
-
-struct OpenedRpc {
-  RpcKind kind = RpcKind::kPing;
-  std::vector<uint8_t> payload;
-  int64_t payload_bits = 0;
-};
-
-// Validates the RPC envelope and extracts the checksummed payload. The
-// checks mirror the serialization envelope: magic, version, kind range,
-// declared length against the *declared* message bit count (not the padded
-// byte buffer), checksum, and no trailing bits.
-StatusOr<OpenedRpc> OpenRpc(const Message& message) {
+// Reads the body's one envelope of `kind` and requires it to span exactly
+// the message's *declared* bit count (not the padded byte buffer).
+StatusOr<EnvelopePayload> OpenBody(StreamKind kind, const Message& message) {
   BitReader reader(message.bytes);
-  DCS_ASSIGN_OR_RETURN(const uint64_t magic, reader.TryReadBits(16));
-  if (magic != kRpcMagic) return DataLossError("bad rpc magic");
-  DCS_ASSIGN_OR_RETURN(const uint64_t version, reader.TryReadBits(8));
-  if (version != kRpcVersion) {
-    return DataLossError("unsupported rpc version " +
-                         std::to_string(version));
-  }
-  DCS_ASSIGN_OR_RETURN(const uint64_t kind, reader.TryReadBits(8));
-  if (kind < static_cast<uint64_t>(RpcKind::kPing) ||
-      kind > static_cast<uint64_t>(RpcKind::kReattach)) {
-    return DataLossError("unknown rpc kind " + std::to_string(kind));
-  }
-  DCS_ASSIGN_OR_RETURN(const uint64_t payload_bits,
-                       reader.TryReadEliasGamma());
-  DCS_ASSIGN_OR_RETURN(const uint64_t checksum, reader.TryReadBits(32));
-  if (message.bit_count < reader.position() ||
-      payload_bits !=
-          static_cast<uint64_t>(message.bit_count - reader.position())) {
+  DCS_ASSIGN_OR_RETURN(EnvelopePayload payload,
+                       ReadEnvelopePayload(kind, reader));
+  if (reader.position() != message.bit_count) {
     return DataLossError("rpc payload length does not match the message");
   }
-  OpenedRpc opened;
-  opened.kind = static_cast<RpcKind>(kind);
-  opened.payload_bits = static_cast<int64_t>(payload_bits);
-  opened.payload.assign(static_cast<size_t>((payload_bits + 7) / 8), 0);
-  for (uint64_t bit = 0; bit < payload_bits; ++bit) {
-    DCS_ASSIGN_OR_RETURN(const int value, reader.TryReadBit());
-    if (value) {
-      opened.payload[static_cast<size_t>(bit >> 3)] |=
-          static_cast<uint8_t>(1u << (bit & 7));
-    }
-  }
-  if (Fnv1a(opened.payload) != checksum) {
-    return DataLossError("rpc payload checksum mismatch");
-  }
-  return opened;
+  return payload;
 }
 
 // The payload parsers share a tail check: every declared payload bit must
@@ -108,8 +46,6 @@ const char* RpcKindName(RpcKind kind) {
       return "register_graph";
     case RpcKind::kQueryBatch:
       return "query_batch";
-    case RpcKind::kResponse:
-      return "response";
     case RpcKind::kReattach:
       return "reattach";
   }
@@ -118,6 +54,7 @@ const char* RpcKindName(RpcKind kind) {
 
 Message EncodeRpcRequest(const RpcRequest& request) {
   BitWriter payload;
+  payload.WriteBits(static_cast<uint64_t>(request.kind), 8);
   switch (request.kind) {
     case RpcKind::kPing:
       break;
@@ -144,21 +81,20 @@ Message EncodeRpcRequest(const RpcRequest& request) {
       payload.WriteEliasGamma(static_cast<uint64_t>(request.num_vertices));
       payload.WriteBits(request.graph_checksum, 32);
       break;
-    case RpcKind::kResponse:
-      DCS_CHECK(false);  // responses go through EncodeRpcResponse
-      break;
   }
-  return SealRpc(request.kind, payload);
+  BitWriter out;
+  WriteEnvelope(StreamKind::kRpcRequest, payload, out);
+  return SealMessage(out);
 }
 
 StatusOr<RpcRequest> DecodeRpcRequest(const Message& message) {
-  DCS_ASSIGN_OR_RETURN(const OpenedRpc opened, OpenRpc(message));
-  BitReader reader(opened.payload);
+  DCS_ASSIGN_OR_RETURN(const EnvelopePayload payload,
+                       OpenBody(StreamKind::kRpcRequest, message));
+  BitReader reader(payload.bytes);
+  DCS_ASSIGN_OR_RETURN(const uint64_t kind, reader.TryReadBits(8));
   RpcRequest request;
-  request.kind = opened.kind;
-  switch (opened.kind) {
-    case RpcKind::kResponse:
-      return DataLossError("rpc body is a response, not a request");
+  request.kind = static_cast<RpcKind>(kind);
+  switch (request.kind) {
     case RpcKind::kPing:
       break;
     case RpcKind::kRegisterGraph: {
@@ -216,8 +152,10 @@ StatusOr<RpcRequest> DecodeRpcRequest(const Message& message) {
       request.graph_checksum = static_cast<uint32_t>(checksum);
       break;
     }
+    default:
+      return DataLossError("unknown rpc kind " + std::to_string(kind));
   }
-  DCS_RETURN_IF_ERROR(CheckFullyConsumed(reader, opened.payload_bits));
+  DCS_RETURN_IF_ERROR(CheckFullyConsumed(reader, payload.bit_count));
   return request;
 }
 
@@ -235,7 +173,9 @@ Message EncodeRpcResponse(const RpcResponse& response) {
   payload.WriteEliasGamma(static_cast<uint64_t>(response.object_id));
   payload.WriteEliasGamma(response.values.size());
   for (double value : response.values) payload.WriteDouble(value);
-  return SealRpc(RpcKind::kResponse, payload);
+  BitWriter out;
+  WriteEnvelope(StreamKind::kRpcResponse, payload, out);
+  return SealMessage(out);
 }
 
 uint32_t GraphEnvelopeChecksum(const DirectedGraph& graph) {
@@ -245,11 +185,9 @@ uint32_t GraphEnvelopeChecksum(const DirectedGraph& graph) {
 }
 
 StatusOr<RpcResponse> DecodeRpcResponse(const Message& message) {
-  DCS_ASSIGN_OR_RETURN(const OpenedRpc opened, OpenRpc(message));
-  if (opened.kind != RpcKind::kResponse) {
-    return DataLossError("rpc body is a request, not a response");
-  }
-  BitReader reader(opened.payload);
+  DCS_ASSIGN_OR_RETURN(const EnvelopePayload payload,
+                       OpenBody(StreamKind::kRpcResponse, message));
+  BitReader reader(payload.bytes);
   RpcResponse response;
   DCS_ASSIGN_OR_RETURN(const uint64_t code, reader.TryReadBits(8));
   if (code > static_cast<uint64_t>(StatusCode::kResourceExhausted)) {
@@ -289,7 +227,7 @@ StatusOr<RpcResponse> DecodeRpcResponse(const Message& message) {
     }
     response.values.push_back(value);
   }
-  DCS_RETURN_IF_ERROR(CheckFullyConsumed(reader, opened.payload_bits));
+  DCS_RETURN_IF_ERROR(CheckFullyConsumed(reader, payload.bit_count));
   return response;
 }
 

@@ -1,15 +1,16 @@
 // RPC request/response wire format for the serving tier (DESIGN.md §14).
 //
-// One RPC body is one Message moved by serve/transport. The body carries
-// its own envelope — magic (16 bits), version (8), kind (8), Elias-gamma
-// payload bit count, FNV-1a payload checksum (32), payload — mirroring the
-// serialization envelope (sketch/serialization.h), so a body that survived
-// the transport's per-frame checks is *still* treated as hostile: every
-// field is Try-read, every count capped against the remaining stream before
-// allocation, and any flip or truncation decodes to kDataLoss. FNV-1a's
-// per-byte step is invertible, so any single-byte difference always changes
-// the checksum — corruption_test flips every bit of encoded requests and
-// responses and asserts non-OK.
+// One RPC body is one Message moved by serve/transport, and it is exactly
+// one serialization envelope (sketch/serialization.h) of kind
+// StreamKind::kRpcRequest or kRpcResponse; a request's payload starts with
+// its 8-bit RpcKind. A body that survived the transport's per-frame checks
+// is *still* treated as hostile: the envelope must span exactly the
+// message's declared bits, every field is Try-read, every count is capped
+// against the remaining stream before allocation, and any flip or
+// truncation decodes to kDataLoss (corruption_test flips every bit of
+// encoded requests and responses and asserts non-OK). A body misfed to the
+// wrong decoder — a response to DecodeRpcRequest, a graph or cache
+// snapshot to either — dies at the envelope's kind field.
 //
 // RPCs:
 //   kPing          — health check; response carries the worker's token.
@@ -54,7 +55,7 @@ enum class RpcKind : uint8_t {
   kPing = 1,
   kRegisterGraph = 2,
   kQueryBatch = 3,
-  kResponse = 4,  // every response body, regardless of request kind
+  // 4 is retired: responses are told apart by StreamKind::kRpcResponse.
   kReattach = 5,
 };
 

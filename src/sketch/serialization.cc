@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "util/fnv1a.h"
 #include "util/metrics.h"
 
 namespace dcs {
@@ -33,6 +34,12 @@ std::string_view PayloadBitsMetricName(StreamKind kind) {
       return "serialization.payload_bits.cut_balance_sparsifier";
     case StreamKind::kSegmentIndex:
       return "serialization.payload_bits.segment_index";
+    case StreamKind::kRpcRequest:
+      return "serialization.payload_bits.rpc_request";
+    case StreamKind::kRpcResponse:
+      return "serialization.payload_bits.rpc_response";
+    case StreamKind::kCacheSnapshot:
+      return "serialization.payload_bits.cache_snapshot";
   }
   return "serialization.payload_bits.unknown";
 }
@@ -46,15 +53,6 @@ constexpr uint64_t kMaxVertices = uint64_t{1} << 28;
 // Smallest possible serialized edge: two 1-bit Elias-gamma endpoints plus a
 // 64-bit weight. Declared edge counts are capped against remaining/66.
 constexpr int64_t kMinEdgeBits = 66;
-
-uint32_t Fnv1a(const std::vector<uint8_t>& bytes) {
-  uint32_t hash = 2166136261u;
-  for (uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 template <typename GraphT>
 void SerializeEdges(const GraphT& graph, BitWriter& writer) {
@@ -148,6 +146,12 @@ const char* StreamKindName(StreamKind kind) {
       return "cut_balance_sparsifier";
     case StreamKind::kSegmentIndex:
       return "segment_index";
+    case StreamKind::kRpcRequest:
+      return "rpc_request";
+    case StreamKind::kRpcResponse:
+      return "rpc_response";
+    case StreamKind::kCacheSnapshot:
+      return "cache_snapshot";
   }
   return "unknown";
 }

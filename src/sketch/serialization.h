@@ -12,7 +12,10 @@
 // before any allocation, endpoints range-checked, weights finite and
 // nonnegative). Deserializers return StatusOr and never abort, hang, or
 // make an unbounded allocation on corrupted input; any bit flip or
-// truncation is caught by the envelope checks.
+// truncation is caught by the envelope checks. The envelope is the one
+// checksummed codec for everything the library ships or persists: the
+// serving tier's RPC bodies and the warm-cache snapshot are envelopes too,
+// each with its own StreamKind.
 //
 // Payload format for graphs (inside the envelope): Elias-gamma vertex and
 // edge counts, then per edge Elias-gamma endpoints and a raw IEEE double
@@ -43,6 +46,9 @@ enum class StreamKind : uint8_t {
   kEdgeStream = 7,  // replayable binary edge-update stream (stream/binary_stream.h)
   kCutBalanceSparsifier = 8,  // sketch/cut_balance_sparsifier.h
   kSegmentIndex = 9,  // sketch-store segment index footer (store/segment.h)
+  kRpcRequest = 10,   // serving-tier RPC request body (serve/wire.h)
+  kRpcResponse = 11,  // serving-tier RPC response body (serve/wire.h)
+  kCacheSnapshot = 12,  // warm-cache snapshot file (store/cache_snapshot.h)
 };
 
 // Stable lowercase name of a stream kind ("directed_graph", ...); used in

@@ -7,29 +7,19 @@
 #include <cmath>
 #include <cstring>
 
+#include "sketch/serialization.h"
 #include "util/bitio.h"
 #include "util/metrics.h"
 
 namespace dcs {
 namespace {
 
-constexpr uint64_t kSnapshotMagic = 0xCA5E;
-constexpr uint64_t kSnapshotVersion = 1;
 // Matches the serialization layer's vertex cap: no packed side needs more
 // words than this, and no honest snapshot can exceed it.
 constexpr uint64_t kMaxSideWords = ((uint64_t{1} << 28) + 63) / 64;
 // Floor on one encoded entry: 1-bit gamma id + 1-bit gamma count + 64-bit
 // value. Declared entry counts are capped against remaining/66.
 constexpr int64_t kMinEntryBits = 66;
-
-uint32_t Fnv1a(const std::vector<uint8_t>& bytes) {
-  uint32_t hash = 2166136261u;
-  for (uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 Status SnapshotDataLoss(const std::string& what) {
   return DataLossError("cache snapshot: " + what);
@@ -48,42 +38,15 @@ std::vector<uint8_t> EncodeCacheSnapshot(
     payload.WriteDouble(entry.value);
   }
   BitWriter out;
-  out.WriteBits(kSnapshotMagic, 16);
-  out.WriteBits(kSnapshotVersion, 8);
-  out.WriteEliasGamma(static_cast<uint64_t>(payload.bit_count()));
-  out.WriteBits(Fnv1a(payload.bytes()), 32);
-  out.AppendBits(payload.bytes(), payload.bit_count());
+  WriteEnvelope(StreamKind::kCacheSnapshot, payload, out);
   return out.bytes();
 }
 
 StatusOr<std::vector<CacheSnapshotEntry>> DecodeCacheSnapshot(
     const std::vector<uint8_t>& bytes) {
   BitReader reader(bytes);
-  DCS_ASSIGN_OR_RETURN(const uint64_t magic, reader.TryReadBits(16));
-  if (magic != kSnapshotMagic) return SnapshotDataLoss("bad magic");
-  DCS_ASSIGN_OR_RETURN(const uint64_t version, reader.TryReadBits(8));
-  if (version != kSnapshotVersion) {
-    return SnapshotDataLoss("unsupported version " + std::to_string(version));
-  }
-  DCS_ASSIGN_OR_RETURN(const uint64_t bit_count, reader.TryReadEliasGamma());
-  if (reader.RemainingBits() < 32 ||
-      bit_count > static_cast<uint64_t>(reader.RemainingBits() - 32)) {
-    return SnapshotDataLoss("declared payload longer than file");
-  }
-  DCS_ASSIGN_OR_RETURN(const uint64_t checksum, reader.TryReadBits(32));
-  // Extract the payload bytes first and checksum them — exactly the
-  // envelope reader's order — then parse entries from a fresh reader.
-  std::vector<uint8_t> payload(static_cast<size_t>((bit_count + 7) / 8), 0);
-  for (uint64_t bit = 0; bit < bit_count; ++bit) {
-    DCS_ASSIGN_OR_RETURN(const int value, reader.TryReadBit());
-    if (value) {
-      payload[static_cast<size_t>(bit >> 3)] |=
-          static_cast<uint8_t>(1u << (bit & 7));
-    }
-  }
-  if (Fnv1a(payload) != checksum) {
-    return SnapshotDataLoss("checksum mismatch");
-  }
+  auto payload = ReadEnvelopePayload(StreamKind::kCacheSnapshot, reader);
+  if (!payload.ok()) return SnapshotDataLoss(payload.status().message());
   // Remaining file bits must be zero padding to one byte.
   if (reader.RemainingBits() >= 8) {
     return SnapshotDataLoss("trailing bytes after payload");
@@ -93,8 +56,8 @@ StatusOr<std::vector<CacheSnapshotEntry>> DecodeCacheSnapshot(
     if (bit != 0) return SnapshotDataLoss("nonzero padding");
   }
 
-  BitReader body(payload);
-  const int64_t payload_bits = static_cast<int64_t>(bit_count);
+  BitReader body(payload->bytes);
+  const int64_t payload_bits = payload->bit_count;
   DCS_ASSIGN_OR_RETURN(const uint64_t count, body.TryReadEliasGamma());
   if (count > static_cast<uint64_t>(
                   (payload_bits - body.position()) / kMinEntryBits) +

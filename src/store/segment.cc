@@ -4,13 +4,14 @@
 #include <string>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace dcs {
 namespace {
 
-// Record magic, distinct from the serialization envelope (0xD5CE), the
-// channel frame (0xFA5C), and the RPC envelope (0xA9C5): a segment misfed
-// to another parser (or vice versa) dies at the first header field.
+// Record magic, distinct from the serialization envelope (0xD5CE) and the
+// channel frame (0xFA5C): a segment misfed to another parser (or vice
+// versa) dies at the first header field.
 constexpr uint64_t kRecordMagic = 0x5E60;
 // Seal trailer magic: "SEAL" over the envelope magic.
 constexpr uint64_t kTrailerMagic = 0x5EA1D5CE;
@@ -28,15 +29,6 @@ constexpr uint64_t kMaxByteField = uint64_t{1} << 62;
 // length. Declared entry counts are capped against remaining/11.
 constexpr int64_t kMinIndexEntryBits = 11;
 
-uint32_t Fnv1a(const uint8_t* bytes, size_t size) {
-  uint32_t hash = 2166136261u;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 16777619u;
-  }
-  return hash;
-}
-
 uint64_t LoadLe(const uint8_t* bytes, int width_bytes) {
   uint64_t value = 0;
   for (int i = 0; i < width_bytes; ++i) {
@@ -47,7 +39,7 @@ uint64_t LoadLe(const uint8_t* bytes, int width_bytes) {
 
 bool ValidKind(uint64_t kind) {
   return kind >= static_cast<uint64_t>(StreamKind::kDirectedGraph) &&
-         kind <= static_cast<uint64_t>(StreamKind::kSegmentIndex);
+         kind <= static_cast<uint64_t>(StreamKind::kCacheSnapshot);
 }
 
 enum class RecordParse {

@@ -11,11 +11,14 @@
 #include <cstring>
 #include <utility>
 
-#include "util/check.h"
 #include "util/metrics.h"
 
 namespace dcs {
 namespace {
+
+// Roll to a fresh segment once the active one reaches this size (the old
+// one is sealed, so long-running workers accumulate durable segments).
+constexpr int64_t kMaxSegmentBytes = int64_t{8} << 20;
 
 Status ErrnoError(const std::string& what, const std::string& path) {
   const std::string message =
@@ -111,12 +114,7 @@ StatusOr<std::vector<std::pair<int64_t, std::string>>> ListSegmentFiles(
 
 }  // namespace
 
-void SketchStoreOptions::Check() const {
-  DCS_CHECK_GE(max_segment_bytes, 1);
-}
-
-SketchStore::SketchStore(std::string dir, SketchStoreOptions options)
-    : dir_(std::move(dir)), options_(options) {}
+SketchStore::SketchStore(std::string dir) : dir_(std::move(dir)) {}
 
 SketchStore::~SketchStore() {
   if (active_fd_ >= 0) ::close(active_fd_);
@@ -130,13 +128,11 @@ std::string SketchStore::SegmentPath(int64_t number) const {
 }
 
 StatusOr<std::unique_ptr<SketchStore>> SketchStore::Open(
-    const std::string& dir, SketchStoreOptions options) {
-  options.Check();
+    const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return ErrnoError("cannot create store directory", dir);
   }
-  std::unique_ptr<SketchStore> store(
-      new SketchStore(dir, options));
+  std::unique_ptr<SketchStore> store(new SketchStore(dir));
   DCS_ASSIGN_OR_RETURN(const auto files, ListSegmentFiles(dir));
   for (const auto& [number, name] : files) {
     const std::string path = dir + "/" + name;
@@ -208,8 +204,8 @@ StatusOr<std::unique_ptr<SketchStore>> SketchStore::Open(
 Status SketchStore::OpenActiveSegment() {
   const int64_t number = highest_number_ + 1;
   const std::string path = SegmentPath(number);
-  const int fd = ::open(path.c_str(),
-                        O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  const int fd = ::open(
+      path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
   if (fd < 0) return ErrnoError("cannot create segment", path);
   active_fd_ = fd;
   active_number_ = number;
@@ -222,8 +218,19 @@ Status SketchStore::OpenActiveSegment() {
 }
 
 Status SketchStore::AppendToActive(const std::vector<uint8_t>& bytes) {
+  DCS_RETURN_IF_ERROR(write_failure_);
   const std::string path = SegmentPath(active_number_);
-  DCS_RETURN_IF_ERROR(WriteAll(active_fd_, bytes.data(), bytes.size(), path));
+  const Status written =
+      WriteAll(active_fd_, bytes.data(), bytes.size(), path);
+  if (!written.ok()) {
+    // A short write already left torn bytes past the last good offset.
+    // Cut them off (the fd is O_APPEND, so the next write lands at the new
+    // end) or every later record would be indexed at a stale offset.
+    if (::ftruncate(active_fd_, segment_bytes_[active_segment_]) != 0) {
+      write_failure_ = ErrnoError("cannot truncate failed append to", path);
+    }
+    return written;
+  }
   segment_bytes_[active_segment_] += static_cast<int64_t>(bytes.size());
   return OkStatus();
 }
@@ -254,7 +261,7 @@ Status SketchStore::Put(int64_t object_id, StreamKind kind,
   }
   std::lock_guard<std::mutex> lock(mutex_);
   if (active_fd_ >= 0 &&
-      segment_bytes_[active_segment_] >= options_.max_segment_bytes) {
+      segment_bytes_[active_segment_] >= kMaxSegmentBytes) {
     // Roll: seal the full segment (fsync) before starting the next.
     const std::vector<uint8_t> seal = BuildSegmentSeal(
         active_entries_, segment_bytes_[active_segment_]);

@@ -7,14 +7,21 @@
 //   <dir>/segment-000002.seg        <- active (unsealed) segment
 //
 // Put appends one record — an object's already-enveloped serialized bytes
-// — to the active segment; the in-memory index maps object id to its
-// newest record (later puts supersede earlier ones; Compact reclaims the
-// dead versions). Seal writes the segment's index footer + seal trailer
-// and fsyncs — only then is the segment's data durable against power loss.
-// A process kill between Put and Seal leaves at worst a torn tail, which
-// Open recovers by truncating at the last whole record; damage anywhere
-// else is reported as kDataLoss, never silently dropped (the fsck verbs
-// distinguish `recovered torn tail` from `data_loss: segment`).
+// — to the active segment (rolling to a fresh one past 8 MiB); the
+// in-memory index maps object id to its newest record (later puts
+// supersede earlier ones; Compact reclaims the dead versions).
+//
+// Durability: an acknowledged Put has been written to the segment file
+// but not fsynced, so it survives a process kill (the page cache does) and
+// does NOT survive power loss until Seal (index footer + seal trailer +
+// fsync) or Flush (fsync) returns OK. A kill mid-append leaves at worst a
+// torn tail of the unacknowledged record, which Open recovers by
+// truncating at the last whole record; damage anywhere else is reported as
+// kDataLoss, never silently dropped (the fsck verbs distinguish
+// `recovered torn tail` from `data_loss: segment`). A failed append (short
+// write, ENOSPC, EFBIG) is cut back off the file before Put returns, so
+// the next Put lands where the index says it does; if that truncation
+// fails too, the store refuses every further write until it is reopened.
 //
 // Thread-safety: all methods may be called concurrently (one internal
 // mutex; the serving tier appends from per-shard threads).
@@ -33,14 +40,6 @@
 #include "util/status.h"
 
 namespace dcs {
-
-struct SketchStoreOptions {
-  // Roll to a fresh segment once the active one exceeds this (the old one
-  // is sealed, so long-running workers accumulate durable segments).
-  int64_t max_segment_bytes = 8 << 20;
-
-  void Check() const;
-};
 
 // One stored object, bytes exactly as put.
 struct StoredObject {
@@ -85,8 +84,7 @@ class SketchStore {
   // Opens (creating the directory if needed), scans every segment,
   // recovers torn tails by truncating the files in place, and builds the
   // object index. kDataLoss if any segment is corrupt beyond a torn tail.
-  static StatusOr<std::unique_ptr<SketchStore>> Open(
-      const std::string& dir, SketchStoreOptions options = {});
+  static StatusOr<std::unique_ptr<SketchStore>> Open(const std::string& dir);
 
   // Closes the active segment WITHOUT sealing (a crash-equivalent close;
   // call Seal() first for durability). Recovery on next Open handles the
@@ -134,14 +132,15 @@ class SketchStore {
     StreamKind kind = StreamKind::kDirectedGraph;
   };
 
-  SketchStore(std::string dir, SketchStoreOptions options);
+  explicit SketchStore(std::string dir);
 
   Status OpenActiveSegment();  // creates segment-(N+1) and its fd
+  // Appends to the active segment, or on failure truncates the file back
+  // to its last good size (and latches write_failure_ if it cannot).
   Status AppendToActive(const std::vector<uint8_t>& bytes);
   std::string SegmentPath(int64_t number) const;
 
   const std::string dir_;
-  const SketchStoreOptions options_;
   StoreOpenReport open_report_;
 
   mutable std::mutex mutex_;
@@ -155,6 +154,9 @@ class SketchStore {
   int64_t active_number_ = 0;
   int64_t highest_number_ = 0;
   std::vector<SegmentIndexEntry> active_entries_;
+  // Non-OK once the active segment holds bytes past segment_bytes_ that
+  // could not be truncated away; every later append returns it.
+  Status write_failure_;
 };
 
 // Read-only verification of every segment in `dir` (never writes or

@@ -1,9 +1,10 @@
 // Corruption-robustness harness for every wire format in the library.
 //
-// For each serializable object (graphs and all four sketch kinds) this test
-// flips every single bit of the serialized stream and truncates the stream
-// at every byte length, and asserts that every mutation comes back as a
-// clean non-OK Status — never a crash, a hang, or an attempt to allocate
+// For each serializable object (graphs, every sketch kind, RPC bodies, the
+// cache snapshot, channel frames, and segments) this test flips every
+// single bit of the serialized stream and truncates the stream at every
+// byte length, and asserts that every mutation comes back as a clean
+// non-OK Status — never a crash, a hang, or an attempt to allocate
 // from a corrupted length field. The envelope checksum (serialization.cc)
 // is what makes the exhaustive claim hold: any payload mutation changes the
 // FNV-1a digest, and header mutations are each individually validated.
@@ -29,6 +30,7 @@
 #include "sketch/directed_sketches.h"
 #include "sketch/sampled_sketches.h"
 #include "sketch/serialization.h"
+#include "store/cache_snapshot.h"
 #include "store/segment.h"
 #include "util/bitio.h"
 #include "util/random.h"
@@ -52,15 +54,16 @@ std::function<Status(BitReader&)> AsParser(DeserializeFn deserialize) {
   };
 }
 
-// Adapts a Message-taking RPC decoder (serve/wire.h) to the BitReader
-// harness. The decoder validates the declared payload length against the
-// Message's *exact* bit count — not the padded byte buffer — so the adapter
-// reads back at most the original bit count: a full-length mutation
-// reconstructs the stream bit-for-bit, while a truncation yields a shorter
-// Message the decoder must reject.
+// Adapts a Message-taking decoder (the RPC bodies of serve/wire.h, the
+// cache snapshot of store/cache_snapshot.h) to the BitReader harness. The
+// RPC decoders validate the envelope length against the Message's *exact*
+// bit count — not the padded byte buffer — so the adapter reads back at
+// most the original bit count: a full-length mutation reconstructs the
+// stream bit-for-bit, while a truncation yields a shorter Message the
+// decoder must reject.
 template <typename DecodeFn>
-std::function<Status(BitReader&)> AsRpcParser(int64_t bit_count,
-                                              DecodeFn decode) {
+std::function<Status(BitReader&)> AsMessageParser(int64_t bit_count,
+                                                  DecodeFn decode) {
   return [bit_count, decode](BitReader& reader) -> Status {
     BitWriter writer;
     for (int64_t b = 0; b < bit_count && !reader.AtEnd(); ++b) {
@@ -70,6 +73,19 @@ std::function<Status(BitReader&)> AsRpcParser(int64_t bit_count,
     }
     return decode(SealMessage(writer));
   };
+}
+
+// A three-entry warm-cache snapshot file (store/cache_snapshot.h).
+std::vector<uint8_t> TestCacheSnapshot(Rng& rng) {
+  std::vector<CacheSnapshotEntry> entries;
+  for (int i = 0; i < 3; ++i) {
+    CacheSnapshotEntry entry;
+    entry.object = i * 5;
+    entry.side_words = {rng.Next(), rng.Next()};
+    entry.value = rng.UniformDouble() * 10.0;
+    entries.push_back(std::move(entry));
+  }
+  return EncodeCacheSnapshot(entries);
 }
 
 std::vector<WireCase> BuildWireCases() {
@@ -199,9 +215,9 @@ std::vector<WireCase> BuildWireCases() {
     cases.push_back(std::move(c));
   }
   {
-    // RPC envelopes (serve/wire.h): what a serving-tier worker or client
-    // decodes after the transport's per-frame checks pass. The body carries
-    // its own magic/version/kind/length/FNV-1a envelope, so every mutation
+    // RPC bodies (serve/wire.h): what a serving-tier worker or client
+    // decodes after the transport's per-frame checks pass. The body is one
+    // serialization envelope (kRpcRequest/kRpcResponse), so every mutation
     // must still be rejected at this layer.
     WireCase c;
     c.name = "rpc_register_graph_request";
@@ -211,7 +227,7 @@ std::vector<WireCase> BuildWireCases() {
     const Message message = EncodeRpcRequest(request);
     c.bytes = message.bytes;
     c.bit_count = message.bit_count;
-    c.parse = AsRpcParser(message.bit_count, [](const Message& m) {
+    c.parse = AsMessageParser(message.bit_count, [](const Message& m) {
       return DecodeRpcRequest(m).status();
     });
     cases.push_back(std::move(c));
@@ -231,7 +247,7 @@ std::vector<WireCase> BuildWireCases() {
     const Message message = EncodeRpcRequest(request);
     c.bytes = message.bytes;
     c.bit_count = message.bit_count;
-    c.parse = AsRpcParser(message.bit_count, [](const Message& m) {
+    c.parse = AsMessageParser(message.bit_count, [](const Message& m) {
       return DecodeRpcRequest(m).status();
     });
     cases.push_back(std::move(c));
@@ -249,7 +265,7 @@ std::vector<WireCase> BuildWireCases() {
     const Message message = EncodeRpcResponse(response);
     c.bytes = message.bytes;
     c.bit_count = message.bit_count;
-    c.parse = AsRpcParser(message.bit_count, [](const Message& m) {
+    c.parse = AsMessageParser(message.bit_count, [](const Message& m) {
       return DecodeRpcResponse(m).status();
     });
     cases.push_back(std::move(c));
@@ -266,8 +282,37 @@ std::vector<WireCase> BuildWireCases() {
     const Message message = EncodeRpcResponse(response);
     c.bytes = message.bytes;
     c.bit_count = message.bit_count;
-    c.parse = AsRpcParser(message.bit_count, [](const Message& m) {
+    c.parse = AsMessageParser(message.bit_count, [](const Message& m) {
       return DecodeRpcResponse(m).status();
+    });
+    cases.push_back(std::move(c));
+  }
+  {
+    WireCase c;
+    c.name = "rpc_reattach_request";
+    RpcRequest request;
+    request.kind = RpcKind::kReattach;
+    request.object_id = 11;
+    request.num_vertices = 64;
+    request.graph_checksum = 0x89ABCDEFu;
+    const Message message = EncodeRpcRequest(request);
+    c.bytes = message.bytes;
+    c.bit_count = message.bit_count;
+    c.parse = AsMessageParser(message.bit_count, [](const Message& m) {
+      return DecodeRpcRequest(m).status();
+    });
+    cases.push_back(std::move(c));
+  }
+  {
+    // The warm-cache snapshot file: a kCacheSnapshot envelope plus zero
+    // padding to a byte boundary. The whole file is the stream, so the
+    // sweep flips the padding bits too.
+    WireCase c;
+    c.name = "cache_snapshot";
+    c.bytes = TestCacheSnapshot(rng);
+    c.bit_count = static_cast<int64_t>(c.bytes.size()) * 8;
+    c.parse = AsMessageParser(c.bit_count, [](const Message& m) {
+      return DecodeCacheSnapshot(m.bytes).status();
     });
     cases.push_back(std::move(c));
   }
@@ -328,6 +373,68 @@ TEST(CorruptionTest, TruncationReportsDataLoss) {
     ASSERT_FALSE(status.ok()) << c.name;
     EXPECT_EQ(status.code(), StatusCode::kDataLoss)
         << c.name << ": " << status.ToString();
+  }
+}
+
+TEST(CorruptionTest, EveryDecoderRejectsEveryOtherKindsBody) {
+  // RPC bodies, cache snapshots, and graphs share one envelope layout, so
+  // what keeps a body out of the wrong decoder is the envelope's kind
+  // field: every pairing of a decoder with another kind's intact body must
+  // come back kDataLoss, never a parse of foreign bytes.
+  Rng rng(77);
+  const DirectedGraph graph = RandomBalancedDigraph(9, 0.5, 2.0, rng);
+  RpcRequest register_request;
+  register_request.kind = RpcKind::kRegisterGraph;
+  register_request.graph = graph;
+  RpcResponse response;
+  response.server_token = 42;
+  response.values = {1.5, 2.5};
+  BitWriter graph_envelope;
+  SerializeDirectedGraph(graph, graph_envelope);
+  const std::vector<uint8_t> snapshot = TestCacheSnapshot(rng);
+
+  struct Body {
+    StreamKind kind;
+    Message message;
+  };
+  const std::vector<Body> bodies = {
+      {StreamKind::kRpcRequest, EncodeRpcRequest(register_request)},
+      {StreamKind::kRpcResponse, EncodeRpcResponse(response)},
+      {StreamKind::kCacheSnapshot,
+       Message{snapshot, static_cast<int64_t>(snapshot.size()) * 8}},
+      {StreamKind::kDirectedGraph, SealMessage(graph_envelope)},
+  };
+  struct Decoder {
+    StreamKind kind;
+    std::function<Status(const Message&)> decode;
+  };
+  const std::vector<Decoder> decoders = {
+      {StreamKind::kRpcRequest,
+       [](const Message& m) { return DecodeRpcRequest(m).status(); }},
+      {StreamKind::kRpcResponse,
+       [](const Message& m) { return DecodeRpcResponse(m).status(); }},
+      {StreamKind::kCacheSnapshot,
+       [](const Message& m) { return DecodeCacheSnapshot(m.bytes).status(); }},
+      {StreamKind::kDirectedGraph,
+       [](const Message& m) {
+         BitReader reader(m.bytes);
+         return DeserializeDirectedGraph(reader).status();
+       }},
+  };
+  for (const Decoder& decoder : decoders) {
+    for (const Body& body : bodies) {
+      const Status status = decoder.decode(body.message);
+      if (body.kind == decoder.kind) {
+        EXPECT_TRUE(status.ok()) << StreamKindName(body.kind) << ": "
+                                 << status.ToString();
+        continue;
+      }
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+          << StreamKindName(decoder.kind) << " decoder fed a "
+          << StreamKindName(body.kind) << " body: " << status.ToString();
+      EXPECT_NE(status.message().find("kind mismatch"), std::string::npos)
+          << status.ToString();
+    }
   }
 }
 

@@ -1,17 +1,21 @@
 // Disk-backed sketch store (store/sketch_store.h) round-trip and recovery
 // tests.
 //
-// The central property: random mixes of ALL nine StreamKinds appended
-// across seal/no-seal reopen cycles come back memcmp-identical after the
-// store is "killed" (destructor closes without sealing) and reopened —
+// The central property: random mixes of all nine data StreamKinds (every
+// kind but the RPC bodies and the cache snapshot, which are never stored)
+// appended across seal/no-seal reopen cycles come back memcmp-identical
+// after the store is "killed" (destructor closes without sealing) and
+// reopened —
 // the store may lose an unsealed tail to a crash, but it must never serve
 // different bytes than were put. Plus fsck classification over a
 // deliberately torn tail, compaction reclaim, and the warm-tier cache
 // snapshot round trip.
 
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -336,6 +340,83 @@ TEST(SketchStoreTest, MidFileDamageIsDataLossNotRecovery) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->segments[0].state, "corrupt");
   EXPECT_FALSE(report->clean());
+}
+
+// Lowers the soft RLIMIT_FSIZE for its lifetime, with SIGXFSZ ignored, so
+// a write crossing the limit comes back short and then fails with EFBIG —
+// the same partial-write-then-error shape as a disk filling up mid-append.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(int64_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit limited = saved_;
+    limited.rlim_cur = static_cast<rlim_t>(bytes);
+    ok_ = ::setrlimit(RLIMIT_FSIZE, &limited) == 0;
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int) = SIG_DFL;
+  bool ok_ = false;
+};
+
+TEST(SketchStoreTest, FailedAppendLeavesEveryAcknowledgedRecordReadable) {
+  // A Put whose append is cut short must not leave torn bytes behind:
+  // otherwise the next Put is indexed at a stale offset, its Get reads the
+  // wrong bytes, and reopen sees mid-file damage.
+  ScratchDir scratch;
+  Rng rng(19);
+  const std::vector<TestObject> objects = MakeOneOfEachKind(rng);
+  auto store = SketchStore::Open(scratch.path());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto put = [&store, &objects](int64_t id) {
+    const TestObject& object = objects[static_cast<size_t>(id)];
+    return (*store)->Put(id, object.kind, object.bytes, object.bit_count);
+  };
+  ASSERT_TRUE(put(0).ok());
+  ASSERT_TRUE(put(1).ok());
+  const int64_t good_size = (*store)->total_bytes();
+  const int64_t record_size = SegmentRecordByteLength(objects[2].bit_count);
+  Status failed;
+  {
+    FileSizeLimit limit(good_size + record_size / 2);
+    ASSERT_TRUE(limit.ok());
+    failed = put(2);
+  }
+  ASSERT_FALSE(failed.ok());
+  struct stat info;
+  ASSERT_EQ(::stat((scratch.path() + "/segment-000001.seg").c_str(), &info),
+            0);
+  EXPECT_EQ(info.st_size, good_size) << "the failed append left torn bytes";
+  ASSERT_TRUE(put(3).ok());
+
+  auto expect_acknowledged = [&objects](const SketchStore& s) {
+    EXPECT_EQ(s.Get(2).status().code(), StatusCode::kNotFound);
+    for (const int64_t id : {0, 1, 3}) {
+      const TestObject& want = objects[static_cast<size_t>(id)];
+      const auto got = s.Get(id);
+      ASSERT_TRUE(got.ok()) << "object " << id << ": "
+                            << got.status().ToString();
+      EXPECT_EQ(got->kind, want.kind) << id;
+      EXPECT_EQ(got->bit_count, want.bit_count) << id;
+      EXPECT_EQ(got->bytes, want.bytes) << id;
+    }
+  };
+  expect_acknowledged(**store);
+  store->reset();
+  const auto reopened = SketchStore::Open(scratch.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->open_report().torn_tails_recovered, 0);
+  EXPECT_EQ((*reopened)->num_objects(), 3);
+  expect_acknowledged(**reopened);
 }
 
 TEST(SketchStoreTest, CompactDropsSupersededVersions) {

@@ -186,7 +186,6 @@ void StressServeCacheConcurrency() {
   CutQueryServiceOptions options;
   options.num_threads = 1;   // callers are the concurrency
   options.cache_capacity = 16;  // far fewer than distinct sides: evict hard
-  options.cache_stripes = 4;
   CutQueryService service(options);
   const auto object = service.RegisterGraph(graph);
 
