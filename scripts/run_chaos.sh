@@ -100,20 +100,35 @@ fi
 # answer differs from the single-process oracle by a single bit, if any
 # loss surfaces as something other than kUnavailable/kResourceExhausted,
 # or if no batch completes at all.
-set +e
-"${cli}" cluster --workers 4 --replication 2 --clients 2 --batches 200 \
-  --kill-rate 0.2 --kill-interval-ms 5 --respawn-delay-ms 5 --seed 11 \
-  > "${tmp_dir}/cluster.txt" 2>&1
-status=$?
-set -e
-if [[ ${status} -ne 0 ]]; then
-  echo "FAIL cluster soak @20% SIGKILL: exit ${status}" >&2
-  cat "${tmp_dir}/cluster.txt" >&2
-  failures=$((failures + 1))
-else
-  echo "ok   cluster soak @20% SIGKILL, R=2 ($(grep -o 'kills [0-9]*' \
-    "${tmp_dir}/cluster.txt" | head -n 1); answers bit-identical)"
-fi
+#
+# check_soak NAME EXTRA_ARGS
+#   Runs the soak with EXTRA_ARGS appended and gates on exit 0.
+check_soak() {
+  local name="$1" extra_args="$2"
+  set +e
+  # shellcheck disable=SC2086
+  "${cli}" cluster --workers 4 --replication 2 --clients 2 \
+    --kill-rate 0.2 --kill-interval-ms 5 --respawn-delay-ms 5 --seed 11 \
+    ${extra_args} > "${tmp_dir}/cluster.txt" 2>&1
+  local status=$?
+  set -e
+  if [[ ${status} -ne 0 ]]; then
+    echo "FAIL ${name}: exit ${status}" >&2
+    cat "${tmp_dir}/cluster.txt" >&2
+    failures=$((failures + 1))
+  else
+    echo "ok   ${name} ($(grep -m 1 '^kills' "${tmp_dir}/cluster.txt"); \
+answers bit-identical)"
+  fi
+}
+
+check_soak "cluster soak @20% SIGKILL, R=2" "--batches 200"
+# The same soak over store-backed workers: every respawn warm-loads its
+# predecessor's store and clients reattach, with kills landing mid-persist
+# and the final shutdown taking the drain path. 1000 batches per client
+# leave time for a dozen or so kills, so reattach really runs.
+check_soak "store-backed cluster soak @20% SIGKILL, R=2" \
+  "--batches 1000 --store-root ${tmp_dir}/stores"
 
 if [[ ${failures} -ne 0 ]]; then
   echo "chaos sweep: ${failures} failure(s)" >&2

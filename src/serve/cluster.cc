@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "sketch/serialization.h"
@@ -30,50 +31,6 @@ uint64_t DrawInstanceToken() {
 
 }  // namespace
 
-BoundedJobQueue::BoundedJobQueue(int capacity) : capacity_(capacity) {
-  DCS_CHECK_GE(capacity, 1);
-}
-
-Status BoundedJobQueue::TryPush(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopped_) {
-      return UnavailableError("job queue is stopped");
-    }
-    if (static_cast<int>(jobs_.size()) >= capacity_) {
-      DCS_METRIC_INC("serve.cluster.queue_rejected");
-      return ResourceExhaustedError(
-          "shard queue full (" + std::to_string(capacity_) +
-          " requests in flight); retry after backoff");
-    }
-    jobs_.push_back(std::move(job));
-  }
-  ready_.notify_one();
-  return OkStatus();
-}
-
-std::optional<std::function<void()>> BoundedJobQueue::Pop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ready_.wait(lock, [this] { return stopped_ || !jobs_.empty(); });
-  if (jobs_.empty()) return std::nullopt;  // stopped and drained
-  std::function<void()> job = std::move(jobs_.front());
-  jobs_.pop_front();
-  return job;
-}
-
-void BoundedJobQueue::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopped_ = true;
-  }
-  ready_.notify_all();
-}
-
-int64_t BoundedJobQueue::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int64_t>(jobs_.size());
-}
-
 void ClusterWorkerOptions::Check() const {
   DCS_CHECK_GE(num_shards, 1);
   DCS_CHECK_GE(queue_capacity, 1);
@@ -91,16 +48,9 @@ ClusterWorker::ClusterWorker(Listener listener, ClusterWorkerOptions options)
   for (int s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     CutQueryServiceOptions service_options;
-    service_options.num_threads = 1;  // the shard thread IS the executor
+    service_options.num_threads = 1;  // the calling thread is the executor
     shard->service = std::make_unique<CutQueryService>(service_options);
-    shard->queue =
-        std::make_unique<BoundedJobQueue>(options_.queue_capacity);
     shards_.push_back(std::move(shard));
-  }
-  for (auto& shard : shards_) {
-    shard->runner = std::thread([queue = shard->queue.get()] {
-      while (auto job = queue->Pop()) (*job)();
-    });
   }
 }
 
@@ -218,20 +168,10 @@ Status ClusterWorker::PersistOnDrain() {
 ClusterWorker::~ClusterWorker() {
   RequestStop();
   listener_.Close();
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (std::thread& t : connections_) {
-      if (t.joinable()) t.join();
-    }
-    connections_.clear();
-  }
-  for (auto& shard : shards_) {
-    shard->queue->Stop();
-    if (shard->runner.joinable()) shard->runner.join();
-  }
+  ReapConnections(/*all=*/true);
 }
 
-RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
+RpcResponse ClusterWorker::ExecuteOnShard(int shard_index,
                                           const RpcRequest& request) {
   RpcResponse response;
   response.server_token = token_;
@@ -239,15 +179,10 @@ RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
     std::this_thread::sleep_for(
         std::chrono::milliseconds(options_.execution_delay_ms));
   }
+  Shard& shard = *shards_[static_cast<size_t>(shard_index)];
   const int num_shards = static_cast<int>(shards_.size());
   switch (request.kind) {
     case RpcKind::kRegisterGraph: {
-      // Recover the shard index from the routing invariant rather than
-      // storing it: this shard was picked as global % S.
-      int shard_index = 0;
-      for (; shard_index < num_shards; ++shard_index) {
-        if (shards_[static_cast<size_t>(shard_index)].get() == &shard) break;
-      }
       BitWriter writer;
       SerializeDirectedGraph(*request.graph, writer);
       const int64_t global_id =
@@ -333,62 +268,60 @@ RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
   return response;
 }
 
-RpcResponse ClusterWorker::Dispatch(const RpcRequest& request) {
+RpcResponse ClusterWorker::Execute(const RpcRequest& request) {
   RpcResponse response;
   response.server_token = token_;
   if (request.kind == RpcKind::kPing) {
     response.status = OkStatus();  // answered inline: health checks must
-    return response;               // succeed even when every queue is full
+    return response;               // succeed even when every shard is full
   }
-  Shard* shard = nullptr;
+  std::shared_lock<std::shared_mutex> gate(drain_gate_);
+  if (stop_.load(std::memory_order_relaxed)) {
+    response.status = UnavailableError("worker draining");
+    return response;
+  }
+  const int64_t num_shards = static_cast<int64_t>(shards_.size());
+  int64_t shard_index = 0;
+  // Held across a registration, which picks its shard from the count of
+  // successful registrations and bumps it only on success: a refused or
+  // failed registration leaves no hole in the ids a warm boot replays.
+  std::unique_lock<std::mutex> registration;
   if (request.kind == RpcKind::kRegisterGraph) {
     if (!request.graph.has_value()) {
       response.status = InvalidArgumentError("register request has no graph");
       return response;
     }
-    std::lock_guard<std::mutex> lock(registration_mutex_);
-    shard = shards_[static_cast<size_t>(registrations_++ %
-                                        static_cast<int64_t>(
-                                            shards_.size()))]
-                .get();
+    registration = std::unique_lock<std::mutex>(registration_mutex_);
+    shard_index = registrations_ % num_shards;
   } else if (request.kind == RpcKind::kQueryBatch ||
              request.kind == RpcKind::kReattach) {
     if (request.object_id < 0) {
       response.status = InvalidArgumentError("negative object id");
       return response;
     }
-    shard = shards_[static_cast<size_t>(
-                        request.object_id %
-                        static_cast<int64_t>(shards_.size()))]
-                .get();
+    shard_index = request.object_id % num_shards;
   } else {
     response.status = InternalError("undispatchable request kind");
     return response;
   }
-  // The connection thread parks here while the shard thread runs the job;
-  // the bounded queue depth is therefore the worker's whole memory of
-  // outstanding work — nothing else buffers.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  bool done = false;
-  const Status admitted = shard->queue->TryPush([&] {
-    RpcResponse result = ExecuteOnShard(*shard, request);
-    std::lock_guard<std::mutex> lock(done_mutex);
-    response = std::move(result);
-    done = true;
-    done_cv.notify_one();
-  });
-  if (!admitted.ok()) {
-    response.status = admitted;  // kResourceExhausted fast-reject
+  Shard& shard = *shards_[static_cast<size_t>(shard_index)];
+  // The admission count is the worker's whole memory of outstanding work:
+  // past the running request plus queue_capacity waiters, refuse at once.
+  if (shard.admitted.fetch_add(1) > options_.queue_capacity) {
+    shard.admitted.fetch_sub(1);
+    DCS_METRIC_INC("serve.cluster.queue_rejected");
+    response.status = ResourceExhaustedError(
+        "shard queue full (" + std::to_string(options_.queue_capacity) +
+        " requests waiting); retry after backoff");
     return response;
   }
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return done; });
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    response = ExecuteOnShard(static_cast<int>(shard_index), request);
+  }
+  shard.admitted.fetch_sub(1);
+  if (registration.owns_lock() && response.status.ok()) ++registrations_;
   return response;
-}
-
-RpcResponse ClusterWorker::Execute(const RpcRequest& request) {
-  return Dispatch(request);
 }
 
 void ClusterWorker::HandleConnection(Connection connection) {
@@ -417,7 +350,7 @@ void ClusterWorker::HandleConnection(Connection connection) {
     response.server_token = token_;
     auto request = DecodeRpcRequest(*request_bytes);
     if (request.ok()) {
-      response = Dispatch(*request);
+      response = Execute(*request);
     } else {
       response.status = request.status();
     }
@@ -432,6 +365,7 @@ void ClusterWorker::HandleConnection(Connection connection) {
 
 Status ClusterWorker::Serve() {
   while (!stop_.load(std::memory_order_relaxed)) {
+    ReapConnections(/*all=*/false);
     auto accepted = listener_.Accept(options_.accept_timeout_ms);
     if (!accepted.ok()) {
       if (accepted.status().code() == StatusCode::kDeadlineExceeded) {
@@ -439,42 +373,49 @@ Status ClusterWorker::Serve() {
       }
       return accepted.status();
     }
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.emplace_back(
-        [this, conn = std::make_shared<Connection>(std::move(*accepted))] {
-          HandleConnection(std::move(*conn));
+    ConnectionThread& entry = connections_.emplace_back();
+    entry.thread = std::thread(
+        [this, &entry, connection = std::move(*accepted)]() mutable {
+          HandleConnection(std::move(connection));
+          entry.done.store(true, std::memory_order_release);
         });
   }
   // Drain: stop accepting, let every connection finish its in-flight
-  // request (they observe stop_ within accept_timeout_ms), then run the
-  // queues dry before joining the shard threads.
-  listener_.Close();
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (std::thread& t : connections_) {
-      if (t.joinable()) t.join();
-    }
-    connections_.clear();
-  }
-  for (auto& shard : shards_) shard->queue->Stop();
-  for (auto& shard : shards_) {
-    if (shard->runner.joinable()) shard->runner.join();
-  }
-  // Queues are dry and shard threads joined: no registration can race the
+  // request (they observe stop_ within accept_timeout_ms), then wait out
+  // any direct Execute caller. After that no registration can race the
   // seal, so a SIGTERM-driven drain never leaves a segment that fsck
   // reports corrupt beyond a torn tail.
+  listener_.Close();
+  ReapConnections(/*all=*/true);
+  std::unique_lock<std::shared_mutex> gate(drain_gate_);
   return PersistOnDrain();
+}
+
+void ClusterWorker::ReapConnections(bool all) {
+  connections_.remove_if([all](ConnectionThread& connection) {
+    if (!all && !connection.done.load(std::memory_order_acquire)) {
+      return false;
+    }
+    connection.thread.join();
+    return true;
+  });
 }
 
 int64_t ClusterWorker::num_registered() const {
   int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->service->num_objects();
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    total += shard->service->num_objects();
+  }
   return total;
 }
 
 int64_t ClusterWorker::cache_entries() const {
   int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->service->cache_size();
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    total += shard->service->cache_size();
+  }
   return total;
 }
 

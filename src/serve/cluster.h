@@ -1,27 +1,29 @@
 // The worker side of the multi-process serving tier (DESIGN.md §14).
 //
 // A ClusterWorker hosts `num_shards` single-threaded CutQueryService
-// instances behind per-shard *bounded* request queues:
+// instances. Each request runs on the thread that received it, under its
+// shard's mutex:
 //
-//   accept thread ──► connection thread ──TryPush──► shard queue ──► shard
-//   (one per client)  (decode request)               (bounded)       thread
+//   accept thread ──► connection thread ──admit──► shard mutex ──► shard's
+//   (one per client)  (decode request)   (count)   (one at a time)  service
 //
-// Admission control: TryPush on a full queue fails immediately and the
-// connection thread answers kResourceExhausted — the worker never buffers
-// unboundedly, and overload is a fast, explicit signal the client must
-// respect (the cluster client deliberately does NOT fail over on it; see
-// cluster_client.h). Execution stays on the shard's single thread, which
-// also serializes registration against queries — the CutQueryService
-// contract ("register before serving") holds per shard by construction.
+// Admission control: a shard admits the request it is running plus at
+// most `queue_capacity` waiting behind it; past that a request is refused
+// at once with kResourceExhausted — the worker never buffers unboundedly,
+// and overload is a fast, explicit signal the client must respect (the
+// cluster client deliberately does NOT fail over on it; see
+// cluster_client.h). The shard mutex also serializes registration
+// against queries, so the CutQueryService contract ("register before
+// serving") holds per shard by construction.
 //
 // Object ids returned to clients encode the shard: id = local * S + shard.
 // Registrations round-robin across shards; queries route by id % S.
 //
 // Shutdown is drain-then-stop (the SIGTERM path): RequestStop() is
 // async-signal-safe (one atomic store); Serve() then stops accepting,
-// lets every connection thread finish its in-flight request, drains the
-// shard queues, and joins. A client mid-request gets its answer; new
-// requests on still-open connections get kUnavailable ("worker draining").
+// lets every connection thread finish its in-flight request, and persists
+// the store. A client mid-request gets its answer; a request that arrives
+// once the drain has begun gets kUnavailable ("worker draining").
 //
 // Every response carries the worker's instance token (drawn at
 // construction from pid + monotonic clock), so a client can detect that a
@@ -31,13 +33,12 @@
 #define DCS_SERVE_CLUSTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,45 +52,14 @@
 
 namespace dcs {
 
-// A fixed-capacity FIFO of jobs with fast-reject admission and
-// drain-then-stop shutdown. Thread-safe.
-class BoundedJobQueue {
- public:
-  explicit BoundedJobQueue(int capacity);
-
-  BoundedJobQueue(const BoundedJobQueue&) = delete;
-  BoundedJobQueue& operator=(const BoundedJobQueue&) = delete;
-
-  // Enqueues without blocking. kResourceExhausted when full (the admission
-  // signal), kUnavailable once Stop() has been called.
-  Status TryPush(std::function<void()> job);
-
-  // Blocks until a job is available or the queue is stopped AND empty
-  // (drain: jobs accepted before Stop still run). nullopt = drained.
-  std::optional<std::function<void()>> Pop();
-
-  // Begins drain-then-stop: no new pushes, Pop keeps returning queued jobs
-  // until empty, then returns nullopt. Idempotent.
-  void Stop();
-
-  int capacity() const { return capacity_; }
-  int64_t size() const;
-
- private:
-  const int capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable ready_;
-  std::deque<std::function<void()>> jobs_;
-  bool stopped_ = false;
-};
-
 struct ClusterWorkerOptions {
   int num_shards = 2;        // CutQueryService instances (>= 1)
-  int queue_capacity = 64;   // per-shard bounded queue depth (>= 1)
+  // Per shard: requests that may wait behind the one running (>= 1).
+  int queue_capacity = 64;
   int io_timeout_ms = 5000;  // per-message deadline on connections
   int accept_timeout_ms = 100;  // stop-flag polling cadence
-  // Test seam: sleep this long inside each executed job, so admission
-  // tests can fill a queue deterministically. 0 in production.
+  // Test seam: sleep this long inside each executed request, so admission
+  // tests can fill a shard deterministically. 0 in production.
   int execution_delay_ms = 0;
   // Cold/warm tiers (DESIGN.md §15). Empty = in-memory only (the
   // pre-store behavior). Non-empty: registered graphs persist to a
@@ -117,7 +87,7 @@ class ClusterWorker {
   ClusterWorker& operator=(const ClusterWorker&) = delete;
 
   // Accept loop: runs until RequestStop(), then drains (in-flight requests
-  // answered, queues emptied, threads joined) and returns.
+  // answered, connection threads finished, store persisted) and returns.
   Status Serve();
 
   // Async-signal-safe stop request (one relaxed atomic store); Serve()
@@ -130,8 +100,9 @@ class ClusterWorker {
   const Endpoint& endpoint() const { return listener_.local_endpoint(); }
   uint64_t token() const { return token_; }
 
-  // Executes one already-decoded request against the owning shard,
-  // bypassing the socket (the in-process half of transport tests).
+  // Executes one already-decoded request against the owning shard on the
+  // calling thread. Connection threads call it per request; tests call it
+  // directly to bypass the socket. Thread-safe.
   RpcResponse Execute(const RpcRequest& request);
 
   // Objects live on this worker (warm-loaded + freshly registered).
@@ -143,9 +114,12 @@ class ClusterWorker {
 
  private:
   struct Shard {
+    // Held while a request runs: one request at a time per shard.
+    std::mutex mutex;
+    // Requests admitted to this shard: the running one plus those waiting
+    // for `mutex`. Admission refuses past queue_capacity + 1.
+    std::atomic<int> admitted{0};
     std::unique_ptr<CutQueryService> service;
-    std::unique_ptr<BoundedJobQueue> queue;
-    std::thread runner;
     // Graphs live here because CutQueryService::RegisterGraph keeps a
     // reference; deque never reallocates element storage.
     std::deque<DirectedGraph> graphs;
@@ -165,10 +139,12 @@ class ClusterWorker {
   Status PersistOnDrain();
 
   void HandleConnection(Connection connection);
-  RpcResponse ExecuteOnShard(Shard& shard, const RpcRequest& request);
-  // Routes through the shard queue (admission control) and waits for the
-  // shard thread to run it. Fast-rejects with kResourceExhausted.
-  RpcResponse Dispatch(const RpcRequest& request);
+  // Joins the finished connection threads, or every one when `all`. The
+  // accept loop reaps on each pass, so a finished thread's stack is freed
+  // within one accept poll rather than at the drain.
+  void ReapConnections(bool all);
+  // Runs an admitted request; the caller holds the shard's mutex.
+  RpcResponse ExecuteOnShard(int shard_index, const RpcRequest& request);
 
   ClusterWorkerOptions options_;
   Listener listener_;
@@ -177,10 +153,20 @@ class ClusterWorker {
   std::unique_ptr<SketchStore> store_;  // null without --store-dir
   int64_t warm_loaded_objects_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::mutex registration_mutex_;  // round-robin registration counter
+  // Execute holds it shared; the drain takes it exclusively, so no request
+  // still runs when PersistOnDrain seals the store.
+  std::shared_mutex drain_gate_;
+  // Held across a registration. registrations_ counts the successful
+  // ones, so it is also the next global id.
+  std::mutex registration_mutex_;
   int64_t registrations_ = 0;
-  std::mutex connections_mutex_;
-  std::vector<std::thread> connections_;
+  // One per accepted connection. Only the thread running Serve() (and,
+  // after it returns, the destructor) touches the list.
+  struct ConnectionThread {
+    std::thread thread;
+    std::atomic<bool> done{false};  // set as the thread's last act
+  };
+  std::list<ConnectionThread> connections_;
 };
 
 }  // namespace dcs

@@ -24,7 +24,7 @@
 // fails too, the store refuses every further write until it is reopened.
 //
 // Thread-safety: all methods may be called concurrently (one internal
-// mutex; the serving tier appends from per-shard threads).
+// mutex; the serving tier appends from its connection threads).
 
 #ifndef DCS_STORE_SKETCH_STORE_H_
 #define DCS_STORE_SKETCH_STORE_H_

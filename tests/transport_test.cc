@@ -1,6 +1,6 @@
 // Socket transport + multi-process serving tier tests (DESIGN.md §14):
 // endpoint parsing, loopback framing round trips, deadlines, backoff
-// connects, bounded-queue admission control, worker dispatch over real
+// connects, per-shard admission control, worker dispatch over real
 // sockets, replication failover, token-mismatch repair, survivor-rescale
 // degradation, and fork/exec'd dcs_server worker processes.
 
@@ -12,6 +12,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -236,28 +239,123 @@ TEST(TransportTest, ConnectWithBackoffSucceedsOnLiveListener) {
   EXPECT_TRUE(connection.ok()) << connection.status().ToString();
 }
 
-TEST(BoundedJobQueueTest, AdmissionControlAndDrain) {
-  BoundedJobQueue queue(2);
-  std::atomic<int> ran{0};
-  EXPECT_TRUE(queue.TryPush([&] { ++ran; }).ok());
-  EXPECT_TRUE(queue.TryPush([&] { ++ran; }).ok());
-  const Status full = queue.TryPush([&] { ++ran; });
-  ASSERT_FALSE(full.ok());
-  EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
+// Threads of this process alive right now (/proc/self/task entries).
+int LiveThreads() {
+  return static_cast<int>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
+}
 
-  queue.Stop();
-  const Status stopped = queue.TryPush([&] { ++ran; });
-  ASSERT_FALSE(stopped.ok());
-  EXPECT_EQ(stopped.code(), StatusCode::kUnavailable);
-
-  // Drain-then-stop: jobs admitted before Stop still pop and run.
-  int popped = 0;
-  while (auto job = queue.Pop()) {
-    (*job)();
-    ++popped;
+// This process's mapped address space in KiB (VmSize in /proc/self/status).
+int64_t VmSizeKib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      int64_t kib = 0;
+      status >> kib;
+      return kib;
+    }
   }
-  EXPECT_EQ(popped, 2);
-  EXPECT_EQ(ran.load(), 2);
+  return -1;
+}
+
+Status PingOnce(const Endpoint& endpoint) {
+  DCS_ASSIGN_OR_RETURN(Connection connection, Connect(endpoint, 1000));
+  RpcRequest ping;
+  ping.kind = RpcKind::kPing;
+  DCS_RETURN_IF_ERROR(connection.Send(EncodeRpcRequest(ping), 1000));
+  DCS_ASSIGN_OR_RETURN(const Message reply, connection.Receive(2000));
+  DCS_ASSIGN_OR_RETURN(const RpcResponse response, DecodeRpcResponse(reply));
+  return response.status;
+}
+
+TEST(ClusterWorkerTest, CreateStartsNoThread) {
+  // Requests run on the thread that received them, so a worker nobody
+  // has connected to owns no thread at all. (LE, not EQ: a thread of an
+  // earlier test may still be exiting.)
+  const int before = LiveThreads();
+  ClusterWorkerOptions options;
+  options.num_shards = 4;
+  auto created = ClusterWorker::Create(Loopback(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  EXPECT_LE(LiveThreads(), before);
+}
+
+TEST(ClusterWorkerTest, FinishedConnectionsReleaseTheirThreads) {
+  // Every reconnect (failover, HealthCheck's fresh-connection retry) ends
+  // a connection thread. The worker must join a finished thread while it
+  // serves, not hold its stack until the drain: 50 held 8 MiB stacks
+  // would map about 400 MiB. Each cycle waits for its thread to exit, so
+  // one connection thread lives at a time and the baseline, taken after
+  // a warm-up, already holds the malloc arena and cached stack it uses.
+  ServingWorker serving = StartWorker();
+  const int threads_before = LiveThreads();
+  int64_t before_kib = 0;
+  for (int cycle = 0; cycle < 55; ++cycle) {
+    if (cycle == 5) before_kib = VmSizeKib();
+    const Status pinged = PingOnce(serving.worker->endpoint());
+    ASSERT_TRUE(pinged.ok()) << "cycle " << cycle << ": " << pinged.ToString();
+    // The thread exits once it reads the client's EOF.
+    for (int wait = 0; wait < 500 && LiveThreads() > threads_before;
+         ++wait) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(LiveThreads(), threads_before) << "cycle " << cycle;
+  }
+  ASSERT_GT(before_kib, 0);
+  EXPECT_LT(VmSizeKib() - before_kib, 64 * 1024);
+}
+
+TEST(ClusterWorkerTest, RefusedRegistrationLeavesNoIdHole) {
+  // A registration refused at admission must not consume an id: the warm
+  // boot refuses a store whose ids are not exactly 0..k-1.
+  char dir_template[] = "/tmp/dcs_id_hole_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  ClusterWorkerOptions options;
+  options.num_shards = 2;
+  options.queue_capacity = 1;
+  options.execution_delay_ms = 400;
+  options.store_dir = std::string(dir_template) + "/store";
+  const DirectedGraph graph = TestGraph(10, 30, 91);
+  RpcRequest reg;
+  reg.kind = RpcKind::kRegisterGraph;
+  reg.graph = graph;
+
+  {
+    ServingWorker serving = StartWorker(options);
+    // Fill shard 0, where the first registration routes: one query runs
+    // and one waits. Unregistered ids still take admission slots.
+    auto occupy = [&](int64_t id) {
+      RpcRequest query;
+      query.kind = RpcKind::kQueryBatch;
+      query.object_id = id;
+      query.num_vertices = 4;
+      query.sides = RandomSides(4, 1, static_cast<uint64_t>(id));
+      serving.worker->Execute(query);
+    };
+    std::thread running(occupy, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::thread waiting(occupy, 2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const RpcResponse refused = serving.worker->Execute(reg);
+    running.join();
+    waiting.join();
+    ASSERT_EQ(refused.status.code(), StatusCode::kResourceExhausted)
+        << refused.status.ToString();
+
+    const RpcResponse registered = serving.worker->Execute(reg);
+    ASSERT_TRUE(registered.status.ok()) << registered.status.ToString();
+    EXPECT_EQ(registered.object_id, 0);
+  }
+
+  auto reopened = ClusterWorker::Create(Loopback(), options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->warm_loaded_objects(), 1);
+
+  reopened->reset();
+  const std::string command = std::string("rm -rf '") + dir_template + "'";
+  ASSERT_EQ(std::system(command.c_str()), 0);
 }
 
 TEST(ClusterWorkerTest, PingCarriesNonzeroToken) {
@@ -455,6 +553,49 @@ TEST(ClusterWorkerTest, DrainsInFlightRequestOnStop) {
   ASSERT_TRUE(response.ok());
   EXPECT_TRUE(response->status.ok()) << response->status.ToString();
   EXPECT_EQ(response->values.size(), 2u);
+}
+
+TEST(ClusterWorkerTest, DrainAnswersWaitingRequestsAndRefusesLateOnes) {
+  ClusterWorkerOptions options;
+  options.num_shards = 1;
+  options.execution_delay_ms = 200;
+  ServingWorker serving = StartWorker(options);
+  const DirectedGraph graph = TestGraph(8, 20, 9);
+  RpcRequest reg;
+  reg.kind = RpcKind::kRegisterGraph;
+  reg.graph = graph;
+  const RpcResponse reg_response = serving.worker->Execute(reg);
+  ASSERT_TRUE(reg_response.status.ok());
+  RpcRequest query;
+  query.kind = RpcKind::kQueryBatch;
+  query.object_id = reg_response.object_id;
+  query.num_vertices = graph.num_vertices();
+  query.sides = RandomSides(graph.num_vertices(), 2, 10);
+
+  // Two connections: one request runs, the other waits for the shard
+  // when the stop arrives. Both were accepted, so both are answered.
+  std::vector<Connection> connections;
+  for (int c = 0; c < 2; ++c) {
+    auto connection = Connect(serving.worker->endpoint(), 1000);
+    ASSERT_TRUE(connection.ok());
+    ASSERT_TRUE(connection->Send(EncodeRpcRequest(query), 1000).ok());
+    connections.push_back(std::move(*connection));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  serving.worker->RequestStop();
+  for (Connection& connection : connections) {
+    auto reply = connection.Receive(5000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    auto response = DecodeRpcResponse(*reply);
+    ASSERT_TRUE(response.ok());
+    EXPECT_TRUE(response->status.ok()) << response->status.ToString();
+    EXPECT_EQ(response->values.size(), 2u);
+  }
+  // A request that arrives once the drain has begun is refused.
+  EXPECT_EQ(serving.worker->Execute(query).status.code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(serving.worker->Execute(reg).status.code(),
+            StatusCode::kUnavailable);
 }
 
 TEST(ClusterWorkerTest, DrainSealsStoreSegments) {

@@ -5,19 +5,23 @@
 //
 // Hammers the constructs the parallel runners rely on: ThreadPool reuse
 // across many loops, ParallelFor over shared read-only graphs with
-// pre-built adjacency, and the seed-deterministic trial runners
-// themselves at several thread counts.
+// pre-built adjacency, the seed-deterministic trial runners themselves at
+// several thread counts, and concurrent callers of one cluster worker.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/channel.h"
 #include "graph/incremental_cut_oracle.h"
 #include "lowerbound/forall_encoding.h"
 #include "lowerbound/foreach_encoding.h"
+#include "serve/cluster.h"
 #include "serve/cut_query_service.h"
 #include "stream/ingest.h"
 #include "util/random.h"
@@ -234,6 +238,98 @@ void StressServeCacheConcurrency() {
   Require(service.cache_size() <= 16, "serve stress: capacity respected");
 }
 
+void StressClusterWorkerCallers() {
+  // The worker runs each request on its caller's thread under the shard's
+  // mutex. Four callers mix registrations and query batches on a 2-shard
+  // worker: every answer must be memcmp-equal to a single-threaded
+  // service over the same graph, and the registration ids must come out
+  // exactly 0..k-1 however the callers interleave.
+  constexpr int kCallers = 4;
+  constexpr int kGraphsPerCaller = 3;
+  constexpr int kGraphs = kCallers * kGraphsPerCaller;
+  constexpr int kVertices = 20;
+  std::vector<DirectedGraph> graphs;
+  std::vector<std::vector<VertexSet>> sides(kGraphs);
+  std::vector<std::vector<double>> expected(kGraphs);
+  CutQueryService reference;
+  for (int g = 0; g < kGraphs; ++g) {
+    Rng rng(SubtaskSeed(29, g));
+    DirectedGraph graph(kVertices);
+    for (int e = 0; e < 80; ++e) {
+      const int src = static_cast<int>(rng.UniformInt(kVertices));
+      int dst = static_cast<int>(rng.UniformInt(kVertices - 1));
+      if (dst >= src) ++dst;
+      graph.AddEdge(src, dst, 0.5 + rng.UniformDouble());
+    }
+    const auto object = reference.RegisterGraph(graph);
+    std::vector<CutQueryService::Query> batch;
+    for (int i = 0; i < 8; ++i) {
+      sides[static_cast<size_t>(g)].push_back(
+          rng.RandomBinaryString(kVertices));
+      batch.push_back({object, sides[static_cast<size_t>(g)].back()});
+    }
+    expected[static_cast<size_t>(g)] = reference.AnswerBatch(batch);
+    graphs.push_back(std::move(graph));
+  }
+
+  auto endpoint = ParseEndpoint("tcp:127.0.0.1:0");
+  Require(endpoint.ok(), "worker stress: endpoint");
+  ClusterWorkerOptions options;
+  options.num_shards = 2;
+  auto worker = ClusterWorker::Create(*endpoint, options);
+  Require(worker.ok(), "worker stress: create");
+
+  std::vector<std::vector<int64_t>> ids(kCallers);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      std::vector<std::pair<int64_t, int>> owned;  // (worker id, graph)
+      for (int k = 0; k < kGraphsPerCaller; ++k) {
+        const int g = c * kGraphsPerCaller + k;
+        RpcRequest reg;
+        reg.kind = RpcKind::kRegisterGraph;
+        reg.graph = graphs[static_cast<size_t>(g)];
+        const RpcResponse registered = (*worker)->Execute(reg);
+        Require(registered.status.ok(), "worker stress: registration");
+        ids[static_cast<size_t>(c)].push_back(registered.object_id);
+        owned.emplace_back(registered.object_id, g);
+        for (int round = 0; round < 10; ++round) {
+          for (const auto& [id, graph_index] : owned) {
+            const auto gi = static_cast<size_t>(graph_index);
+            RpcRequest query;
+            query.kind = RpcKind::kQueryBatch;
+            query.object_id = id;
+            query.num_vertices = kVertices;
+            query.sides = sides[gi];
+            const RpcResponse answer = (*worker)->Execute(query);
+            if (!answer.status.ok() ||
+                answer.values.size() != expected[gi].size() ||
+                std::memcmp(answer.values.data(), expected[gi].data(),
+                            expected[gi].size() * sizeof(double)) != 0) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  Require(mismatches.load() == 0,
+          "worker stress: answers memcmp-equal to the reference");
+  std::vector<int64_t> all_ids;
+  for (const std::vector<int64_t>& caller_ids : ids) {
+    all_ids.insert(all_ids.end(), caller_ids.begin(), caller_ids.end());
+  }
+  std::sort(all_ids.begin(), all_ids.end());
+  for (int64_t i = 0; i < kGraphs; ++i) {
+    Require(all_ids[static_cast<size_t>(i)] == i,
+            "worker stress: registration ids are exactly 0..k-1");
+  }
+  Require((*worker)->num_registered() == kGraphs,
+          "worker stress: every registration live");
+}
+
 void StressStreamIngest() {
   // The streaming ingestion pipeline under its full concurrency surface:
   // N producer threads pushing per-producer balanced insert/delete streams
@@ -403,6 +499,7 @@ int main() {
   dcs::StressTrialRunners();
   dcs::StressChannelParallelTransfers();
   dcs::StressServeCacheConcurrency();
+  dcs::StressClusterWorkerCallers();
   dcs::StressStreamIngest();
   dcs::StressShutdownUnderLoad();
   std::printf("tsan stress: OK\n");

@@ -1,9 +1,10 @@
 // dcs_server — one cut-query worker process (DESIGN.md §14).
 //
-// Hosts sharded CutQueryService instances behind bounded per-shard queues
-// and serves the checksummed RPC envelope over a unix/tcp socket. Spawned
-// in fleets by the `dcs cluster` chaos soak and by tests; also usable
-// standalone:
+// Hosts sharded CutQueryService instances and serves the checksummed RPC
+// envelope over a unix/tcp socket. Each request runs on its connection's
+// thread under its shard's lock; at most --queue-capacity requests wait
+// per shard, and the next is refused at once. Spawned in fleets by the
+// `dcs cluster` chaos soak and by tests; also usable standalone:
 //
 //   dcs_server --listen unix:/tmp/w0.sock --shards 2 --queue-capacity 64
 //
@@ -14,10 +15,10 @@
 // dumps the hottest cache entries for the next incarnation.
 //
 // SIGTERM (and SIGINT) trigger a drain-then-stop shutdown: the listener
-// closes, in-flight requests finish, queued jobs run to completion, the
-// store segment is sealed, and only then does the process exit. SIGKILL —
-// the chaos signal — gets no such courtesy, which is exactly what the
-// soak is for.
+// closes, every connection's in-flight request (running or waiting for
+// its shard) finishes, the store segment is sealed, and only then does
+// the process exit. SIGKILL — the chaos signal — gets no such courtesy,
+// which is exactly what the soak is for.
 //
 // Exit codes: 0 clean shutdown, 1 serve/bind failure, 2 usage error.
 
