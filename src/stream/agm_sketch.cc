@@ -1,5 +1,6 @@
 #include "stream/agm_sketch.h"
 
+#include <span>
 #include <string>
 #include <utility>
 
@@ -24,56 +25,45 @@ AgmConnectivitySketch::AgmConnectivitySketch(int num_vertices, int rounds,
       rounds_(rounds > 0 ? rounds : DefaultRounds(num_vertices)),
       seed_(seed) {
   DCS_CHECK_GE(num_vertices, 1);
-  const int64_t universe =
-      static_cast<int64_t>(num_vertices_) * num_vertices_;
-  samplers_.reserve(static_cast<size_t>(rounds_));
+  levels_ = L0LevelCount(static_cast<int64_t>(num_vertices_) * num_vertices_);
   for (int r = 0; r < rounds_; ++r) {
-    std::vector<L0Sampler> row;
-    row.reserve(static_cast<size_t>(num_vertices_));
-    for (int v = 0; v < num_vertices_; ++v) {
-      // All samplers of one round share a seed (mergeable); rounds differ.
-      row.emplace_back(universe, seed_ * 1000003ULL + static_cast<uint64_t>(r));
-    }
-    samplers_.push_back(std::move(row));
+    // All samplers of one round share a seed (mergeable); rounds differ.
+    const uint64_t round_seed = seed_ * 1000003ULL + static_cast<uint64_t>(r);
+    round_seeds_.push_back(round_seed);
+    check_seeds_.push_back(L0CheckSeed(round_seed));
   }
+  buckets_.resize(RowOffset(rounds_, 0));
 }
 
-int64_t AgmConnectivitySketch::EdgeCoordinate(VertexId u, VertexId v) const {
+void AgmConnectivitySketch::Update(VertexId u, VertexId v, int64_t delta) {
   DCS_CHECK(u >= 0 && u < num_vertices_);
   DCS_CHECK(v >= 0 && v < num_vertices_);
   DCS_CHECK_NE(u, v);
   if (u > v) std::swap(u, v);
-  return static_cast<int64_t>(u) * num_vertices_ + v;
+  const int64_t coordinate = static_cast<int64_t>(u) * num_vertices_ + v;
+  // The streaming hot path: per round, one level hash and one check hash,
+  // then a +delta/−delta bucket add on each touched level of both rows.
+  for (int r = 0; r < rounds_; ++r) {
+    const size_t round = static_cast<size_t>(r);
+    const int deepest =
+        L0DeepestLevel(coordinate, round_seeds_[round], levels_);
+    const uint64_t check_hash =
+        Hash64(static_cast<uint64_t>(coordinate), check_seeds_[round]);
+    L0Bucket* low = &buckets_[RowOffset(r, u)];
+    L0Bucket* high = &buckets_[RowOffset(r, v)];
+    for (int j = 0; j <= deepest; ++j) {
+      low[j].Add(coordinate, delta, check_hash);
+      high[j].Add(coordinate, -delta, check_hash);
+    }
+  }
 }
 
 void AgmConnectivitySketch::AddEdge(VertexId u, VertexId v) {
-  const int64_t coordinate = EdgeCoordinate(u, v);
-  const VertexId low = u < v ? u : v;
-  const VertexId high = u < v ? v : u;
-  for (int r = 0; r < rounds_; ++r) {
-    auto& row = samplers_[static_cast<size_t>(r)];
-    // Both endpoints' samplers share the round seed, hence the fingerprint
-    // base: compute r^coordinate once per round and reuse it for the +1/−1
-    // pair. This is the streaming hot path — an update is two sampler
-    // writes per round, and the modular exponentiation dominated both.
-    const uint64_t power =
-        row[static_cast<size_t>(low)].PowerOf(coordinate);
-    row[static_cast<size_t>(low)].Update(coordinate, +1, power);
-    row[static_cast<size_t>(high)].Update(coordinate, -1, power);
-  }
+  Update(u, v, +1);
 }
 
 void AgmConnectivitySketch::RemoveEdge(VertexId u, VertexId v) {
-  const int64_t coordinate = EdgeCoordinate(u, v);
-  const VertexId low = u < v ? u : v;
-  const VertexId high = u < v ? v : u;
-  for (int r = 0; r < rounds_; ++r) {
-    auto& row = samplers_[static_cast<size_t>(r)];
-    const uint64_t power =
-        row[static_cast<size_t>(low)].PowerOf(coordinate);
-    row[static_cast<size_t>(low)].Update(coordinate, -1, power);
-    row[static_cast<size_t>(high)].Update(coordinate, +1, power);
-  }
+  Update(u, v, -1);
 }
 
 void AgmConnectivitySketch::MergeFrom(const AgmConnectivitySketch& other) {
@@ -100,12 +90,7 @@ Status AgmConnectivitySketch::TryMergeFrom(
         "cannot merge AGM sketches built from different seeds (" +
         std::to_string(seed_) + " vs " + std::to_string(other.seed_) + ")");
   }
-  for (int r = 0; r < rounds_; ++r) {
-    for (int v = 0; v < num_vertices_; ++v) {
-      samplers_[static_cast<size_t>(r)][static_cast<size_t>(v)].MergeFrom(
-          other.samplers_[static_cast<size_t>(r)][static_cast<size_t>(v)]);
-    }
-  }
+  L0MergeBuckets(buckets_, other.buckets_);
   return OkStatus();
 }
 
@@ -119,29 +104,35 @@ uint64_t AgmConnectivitySketch::Digest() const {
   fold(static_cast<uint64_t>(num_vertices_));
   fold(static_cast<uint64_t>(rounds_));
   fold(seed_);
-  for (const auto& row : samplers_) {
-    for (const L0Sampler& sampler : row) sampler.AppendDigest(digest);
+  for (const L0Bucket& bucket : buckets_) {
+    fold(static_cast<uint64_t>(bucket.sum));
+    fold(bucket.weighted);
+    fold(bucket.check);
   }
   return digest;
 }
 
 std::vector<Edge> AgmConnectivitySketch::SpanningForest() const {
   const int n = num_vertices_;
+  const size_t levels = static_cast<size_t>(levels_);
   UnionFind components(n);
   auto find = [&components](int v) { return components.Find(v); };
 
-  // Per-component merged sampler, one per round, held at the root. Copies
-  // so extraction does not disturb the sketch.
-  std::vector<std::vector<L0Sampler>> component = samplers_;
-  // component[r][root] is the merged round-r sampler of root's component.
+  // Per-component merged samplers: the (r, root) row of this copy holds
+  // the round-r sampler summed over root's component. A copy, so
+  // extraction does not disturb the sketch.
+  std::vector<L0Bucket> component = buckets_;
+  const auto row = [&component, levels, this](int r, int v) {
+    return std::span<L0Bucket>(&component[RowOffset(r, v)], levels);
+  };
   std::vector<Edge> forest;
   for (int r = 0; r < rounds_; ++r) {
+    const uint64_t check_seed = check_seeds_[static_cast<size_t>(r)];
     // Collect one candidate outgoing edge per component root.
     std::vector<std::pair<VertexId, VertexId>> candidates;
     for (int v = 0; v < n; ++v) {
       if (find(v) != v) continue;
-      const std::optional<L0Sample> sample =
-          component[static_cast<size_t>(r)][static_cast<size_t>(v)].Sample();
+      const std::optional<L0Sample> sample = L0SampleRow(row(r, v), check_seed);
       if (!sample.has_value()) continue;
       const VertexId u = static_cast<VertexId>(sample->index / n);
       const VertexId w = static_cast<VertexId>(sample->index % n);
@@ -154,13 +145,12 @@ std::vector<Edge> AgmConnectivitySketch::SpanningForest() const {
       const int root_w = find(w);
       if (root_u == root_w) continue;
       // Union: merge w's component into u's and combine the samplers of
-      // every remaining round. The directed union keeps root_u as the
-      // representative, matching where the merged samplers live.
+      // every later round (this round's rows are not read again). The
+      // directed union keeps root_u as the representative, matching where
+      // the merged samplers live.
       components.UnionInto(root_w, root_u);
-      for (int rr = 0; rr < rounds_; ++rr) {
-        component[static_cast<size_t>(rr)][static_cast<size_t>(root_u)]
-            .MergeFrom(component[static_cast<size_t>(rr)]
-                                [static_cast<size_t>(root_w)]);
+      for (int rr = r + 1; rr < rounds_; ++rr) {
+        L0MergeBuckets(row(rr, root_u), row(rr, root_w));
       }
       forest.push_back(Edge{u, w, 1.0});
       merged_any = true;
@@ -171,11 +161,7 @@ std::vector<Edge> AgmConnectivitySketch::SpanningForest() const {
       // some component still looks non-isolated.
       bool any_boundary = false;
       for (int v = 0; v < n && !any_boundary; ++v) {
-        if (find(v) != v) continue;
-        if (!component[static_cast<size_t>(r)][static_cast<size_t>(v)]
-                 .AppearsZero()) {
-          any_boundary = true;
-        }
+        if (find(v) == v && !L0RowIsZero(row(r, v))) any_boundary = true;
       }
       if (!any_boundary) break;
     }
@@ -192,19 +178,11 @@ bool AgmConnectivitySketch::IsConnected() const {
 }
 
 int64_t AgmConnectivitySketch::SizeInBits() const {
-  int64_t total = 0;
-  for (const auto& row : samplers_) {
-    for (const L0Sampler& sampler : row) total += sampler.SizeInBits();
-  }
-  return total;
+  return MeasurementCount() * 64;
 }
 
 int64_t AgmConnectivitySketch::MeasurementCount() const {
-  int64_t total = 0;
-  for (const auto& row : samplers_) {
-    for (const L0Sampler& sampler : row) total += 3 * sampler.levels();
-  }
-  return total;
+  return 3 * static_cast<int64_t>(buckets_.size());
 }
 
 AgmKConnectivitySketch::AgmKConnectivitySketch(int num_vertices, int k,

@@ -7,10 +7,13 @@
 // machinery gives connectivity under edge insertions *and deletions*.
 // This module implements that machinery's core:
 //
-//  * every vertex v maintains L0Samplers over the edge-coordinate space,
-//    with edge {u, v} (u < v) written as +1 into u's vector and −1 into
-//    v's — so summing a component's vectors cancels internal edges and
-//    leaves exactly the boundary;
+//  * every vertex v maintains one ℓ₀-sampler per round over the
+//    edge-coordinate space, with edge {u, v} (u < v) written as +1 into u's
+//    vector and −1 into v's — so summing a component's vectors cancels
+//    internal edges and leaves exactly the boundary. All samplers live in
+//    one flat array of L0Buckets indexed [round][vertex][level]; an update
+//    costs two hash calls per round plus one bucket add per touched level
+//    of the two endpoint rows;
 //  * a spanning forest is extracted by Boruvka rounds: each round merges
 //    component sketches (linearity!) and ℓ₀-samples one outgoing edge per
 //    component, using a fresh sampler copy per round for independence.
@@ -22,6 +25,7 @@
 #ifndef DCS_STREAM_AGM_SKETCH_H_
 #define DCS_STREAM_AGM_SKETCH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -83,13 +87,24 @@ class AgmConnectivitySketch {
   int64_t MeasurementCount() const;
 
  private:
-  int64_t EdgeCoordinate(VertexId u, VertexId v) const;
+  // Adds delta·(e_low − e_high) at the edge's coordinate, low < high.
+  void Update(VertexId u, VertexId v, int64_t delta);
+  // Offset of the (round, vertex) row in a bucket array.
+  size_t RowOffset(int round, int vertex) const {
+    return (static_cast<size_t>(round) * static_cast<size_t>(num_vertices_) +
+            static_cast<size_t>(vertex)) *
+           static_cast<size_t>(levels_);
+  }
 
   int num_vertices_;
   int rounds_;
   uint64_t seed_;
-  // samplers_[round][vertex]
-  std::vector<std::vector<L0Sampler>> samplers_;
+  int levels_;  // buckets per sampler row
+  // Per round: the level-hash seed and the check-hash seed of its samplers.
+  std::vector<uint64_t> round_seeds_;
+  std::vector<uint64_t> check_seeds_;
+  // buckets_[RowOffset(round, vertex) + level]
+  std::vector<L0Bucket> buckets_;
 };
 
 // Convenience: sketch an existing unweighted graph.

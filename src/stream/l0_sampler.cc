@@ -1,196 +1,77 @@
 #include "stream/l0_sampler.h"
 
-#include <bit>
-
 namespace dcs {
-namespace {
 
-constexpr uint64_t kModulus = OneSparseRecovery::kModulus;
-
-// Multiplication mod 2^61 − 1 via 128-bit products.
-uint64_t MulMod(uint64_t a, uint64_t b) {
-  const unsigned __int128 product =
-      static_cast<unsigned __int128>(a) * b;
-  const uint64_t low = static_cast<uint64_t>(product & kModulus);
-  const uint64_t high = static_cast<uint64_t>(product >> 61);
-  uint64_t result = low + high;
-  if (result >= kModulus) result -= kModulus;
-  return result;
+int L0LevelCount(int64_t universe) {
+  DCS_CHECK_GE(universe, 1);
+  return 3 + std::bit_width(static_cast<uint64_t>(universe - 1));
 }
 
-uint64_t PowMod(uint64_t base, uint64_t exponent) {
-  uint64_t result = 1;
-  uint64_t power = base;
-  while (exponent > 0) {
-    if (exponent & 1) result = MulMod(result, power);
-    power = MulMod(power, power);
-    exponent >>= 1;
-  }
-  return result;
-}
-
-// Signed value into [0, q).
-uint64_t SignedMod(int64_t value) {
-  int64_t reduced = value % static_cast<int64_t>(kModulus);
-  if (reduced < 0) reduced += static_cast<int64_t>(kModulus);
-  return static_cast<uint64_t>(reduced);
-}
-
-uint64_t Hash64(uint64_t x, uint64_t seed) {
-  x += seed + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-OneSparseRecovery::OneSparseRecovery(uint64_t fingerprint_base)
-    : fingerprint_base_(fingerprint_base) {
-  DCS_CHECK_GE(fingerprint_base, 2u);
-  DCS_CHECK_LT(fingerprint_base, kModulus);
-}
-
-void OneSparseRecovery::Update(int64_t index, int64_t delta) {
-  UpdateWithPower(index, delta,
-                  PowMod(fingerprint_base_, static_cast<uint64_t>(index)));
-}
-
-void OneSparseRecovery::UpdateWithPower(int64_t index, int64_t delta,
-                                        uint64_t power) {
-  DCS_CHECK_GE(index, 0);
-  sum_ += delta;
-  weighted_ += static_cast<__int128>(delta) * index;
-  const uint64_t term = MulMod(SignedMod(delta), power);
-  fingerprint_ = fingerprint_ + term;
-  if (fingerprint_ >= kModulus) fingerprint_ -= kModulus;
-}
-
-void OneSparseRecovery::AppendDigest(uint64_t& digest) const {
-  constexpr uint64_t kPrime = 1099511628211ULL;  // FNV-1a 64-bit prime
-  const auto fold = [&digest](uint64_t word) {
-    digest = (digest ^ word) * kPrime;
-  };
-  fold(static_cast<uint64_t>(sum_));
-  fold(static_cast<uint64_t>(static_cast<unsigned __int128>(weighted_)));
-  fold(static_cast<uint64_t>(static_cast<unsigned __int128>(weighted_) >> 64));
-  fold(fingerprint_);
-}
-
-void OneSparseRecovery::MergeFrom(const OneSparseRecovery& other) {
-  DCS_CHECK_EQ(fingerprint_base_, other.fingerprint_base_);
-  sum_ += other.sum_;
-  weighted_ += other.weighted_;
-  fingerprint_ = fingerprint_ + other.fingerprint_;
-  if (fingerprint_ >= kModulus) fingerprint_ -= kModulus;
-}
-
-bool OneSparseRecovery::IsZero() const {
-  return sum_ == 0 && weighted_ == 0 && fingerprint_ == 0;
-}
-
-std::optional<L0Sample> OneSparseRecovery::Recover() const {
-  if (sum_ == 0) return std::nullopt;
-  if (weighted_ % sum_ != 0) return std::nullopt;
-  const __int128 index_wide = weighted_ / sum_;
-  if (index_wide < 0 ||
-      index_wide > static_cast<__int128>(INT64_MAX)) {
+std::optional<L0Sample> L0Bucket::Recover(uint64_t check_seed) const {
+  if (sum == 0) return std::nullopt;
+  const int64_t signed_weighted = static_cast<int64_t>(weighted);
+  // INT64_MIN / −1 overflows (SIGFPE on x86); its quotient 2^63 is no index.
+  if (sum == -1 && signed_weighted == INT64_MIN) return std::nullopt;
+  if (signed_weighted % sum != 0) return std::nullopt;
+  const int64_t index = signed_weighted / sum;
+  if (index < 0) return std::nullopt;
+  // Verify: a 1-sparse vector v·e_i has check v·g(i).
+  if (check != static_cast<uint64_t>(sum) *
+                   Hash64(static_cast<uint64_t>(index), check_seed)) {
     return std::nullopt;
   }
-  const int64_t index = static_cast<int64_t>(index_wide);
-  // Verify: a 1-sparse vector v·e_i has fingerprint v·r^i.
-  const uint64_t expected = MulMod(
-      SignedMod(sum_),
-      PowMod(fingerprint_base_, static_cast<uint64_t>(index)));
-  if (expected != fingerprint_) return std::nullopt;
-  return L0Sample{index, sum_};
+  return L0Sample{index, sum};
 }
 
-L0Sampler::L0Sampler(int64_t universe, uint64_t seed)
-    : universe_(universe), seed_(seed) {
-  DCS_CHECK_GE(universe, 1);
-  int level_count = 3;
-  while ((static_cast<int64_t>(1) << (level_count - 3)) < universe) {
-    ++level_count;
-  }
-  const uint64_t base = 2 + Hash64(seed, 0x5eedULL) % (kModulus - 3);
-  levels_.reserve(static_cast<size_t>(level_count));
-  for (int j = 0; j < level_count; ++j) {
-    levels_.emplace_back(base);
-  }
-  // Cache base^(2^i) for every bit position an index can occupy, so the
-  // per-update exponentiation is one multiply per set index bit. The
-  // squaring chain is exactly what PowMod would recompute on every update.
-  int index_bits = 1;
-  while ((universe_ - 1) >> index_bits != 0) ++index_bits;
-  pow_squares_.reserve(static_cast<size_t>(index_bits));
-  uint64_t square = base;
-  for (int i = 0; i < index_bits; ++i) {
-    pow_squares_.push_back(square);
-    square = MulMod(square, square);
-  }
+void L0MergeBuckets(std::span<L0Bucket> into, std::span<const L0Bucket> from) {
+  DCS_CHECK_EQ(into.size(), from.size());
+  for (size_t j = 0; j < into.size(); ++j) into[j].Merge(from[j]);
 }
 
-uint64_t L0Sampler::PowerOf(int64_t index) const {
-  uint64_t result = 1;
-  uint64_t bits = static_cast<uint64_t>(index);
-  for (size_t i = 0; bits != 0; ++i, bits >>= 1) {
-    if (bits & 1) result = MulMod(result, pow_squares_[i]);
-  }
-  return result;
-}
-
-int L0Sampler::LevelOf(int64_t index) const {
-  const uint64_t h = Hash64(static_cast<uint64_t>(index), seed_);
-  const int trailing = h == 0 ? 64 : std::countr_zero(h);
-  const int max_level = static_cast<int>(levels_.size()) - 1;
-  return trailing < max_level ? trailing : max_level;
-}
-
-void L0Sampler::Update(int64_t index, int64_t delta) {
-  DCS_CHECK_GE(index, 0);
-  DCS_CHECK_LT(index, universe_);
-  if (delta == 0) return;
-  Update(index, delta, PowerOf(index));
-}
-
-void L0Sampler::Update(int64_t index, int64_t delta, uint64_t power) {
-  DCS_CHECK_GE(index, 0);
-  DCS_CHECK_LT(index, universe_);
-  if (delta == 0) return;
-  const int deepest = LevelOf(index);
-  for (int j = 0; j <= deepest; ++j) {
-    levels_[static_cast<size_t>(j)].UpdateWithPower(index, delta, power);
-  }
-}
-
-void L0Sampler::AppendDigest(uint64_t& digest) const {
-  for (const OneSparseRecovery& level : levels_) level.AppendDigest(digest);
-}
-
-void L0Sampler::MergeFrom(const L0Sampler& other) {
-  DCS_CHECK_EQ(universe_, other.universe_);
-  DCS_CHECK_EQ(seed_, other.seed_);
-  DCS_CHECK_EQ(levels_.size(), other.levels_.size());
-  for (size_t j = 0; j < levels_.size(); ++j) {
-    levels_[j].MergeFrom(other.levels_[j]);
-  }
-}
-
-std::optional<L0Sample> L0Sampler::Sample() const {
+std::optional<L0Sample> L0SampleRow(std::span<const L0Bucket> row,
+                                    uint64_t check_seed) {
   // Deepest (sparsest) levels first: the first recoverable level wins.
-  for (size_t j = levels_.size(); j-- > 0;) {
-    const std::optional<L0Sample> sample = levels_[j].Recover();
+  for (size_t j = row.size(); j-- > 0;) {
+    const std::optional<L0Sample> sample = row[j].Recover(check_seed);
     if (sample.has_value()) return sample;
   }
   return std::nullopt;
 }
 
-bool L0Sampler::AppearsZero() const {
-  for (const OneSparseRecovery& level : levels_) {
-    if (!level.IsZero()) return false;
+bool L0RowIsZero(std::span<const L0Bucket> row) {
+  for (const L0Bucket& bucket : row) {
+    if (!bucket.IsZero()) return false;
   }
   return true;
 }
+
+L0Sampler::L0Sampler(int64_t universe, uint64_t seed)
+    : universe_(universe),
+      seed_(seed),
+      check_seed_(L0CheckSeed(seed)),
+      levels_(static_cast<size_t>(L0LevelCount(universe))) {}
+
+void L0Sampler::Update(int64_t index, int64_t delta) {
+  DCS_CHECK_GE(index, 0);
+  DCS_CHECK_LT(index, universe_);
+  if (delta == 0) return;
+  const int deepest = L0DeepestLevel(index, seed_, levels());
+  const uint64_t check_hash = Hash64(static_cast<uint64_t>(index), check_seed_);
+  for (int j = 0; j <= deepest; ++j) {
+    levels_[static_cast<size_t>(j)].Add(index, delta, check_hash);
+  }
+}
+
+void L0Sampler::MergeFrom(const L0Sampler& other) {
+  DCS_CHECK_EQ(universe_, other.universe_);
+  DCS_CHECK_EQ(seed_, other.seed_);
+  L0MergeBuckets(levels_, other.levels_);
+}
+
+std::optional<L0Sample> L0Sampler::Sample() const {
+  return L0SampleRow(levels_, check_seed_);
+}
+
+bool L0Sampler::AppearsZero() const { return L0RowIsZero(levels_); }
 
 }  // namespace dcs

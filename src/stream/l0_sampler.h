@@ -2,27 +2,38 @@
 //
 // Substrate for the AGM graph sketches [AGM12] — the linear-measurement
 // graph sketching result the paper's introduction builds its database
-// motivation on. An L0Sampler maintains O(log U) linear measurements of a
+// motivation on. An ℓ₀-sampler maintains O(log U) linear measurements of a
 // dynamic vector a ∈ ℤ^U under coordinate updates a_i += Δ (insertions and
 // deletions), and can report some coordinate with a_i ≠ 0 with constant
 // success probability.
 //
 // Construction: per level j, coordinates are subsampled with probability
-// 2^{-j} by a seeded hash, and each level keeps a 1-sparse recovery triple
-//   (ℓ, z, p) = (Σ a_i, Σ a_i·i, Σ a_i·r^i mod q)
-// over the surviving coordinates. A level that is exactly 1-sparse
-// reproduces its coordinate as i = z/ℓ and verifies with the fingerprint p
-// (false positives with probability O(U/q), q = 2^61 − 1). Queries scan
-// levels from the sparsest.
+// 2^{-j} (the trailing zeros of Hash64(i, seed)), and each level keeps a
+// 1-sparse recovery bucket
+//   (sum, weighted, check) = (Σ a_i, Σ a_i·i, Σ a_i·g(i))
+// over the surviving coordinates, the last two wrapping mod 2^64. g is a
+// second seeded 64-bit mixer (Hash64 under a salted seed). A level that is
+// exactly 1-sparse reproduces its coordinate as i = weighted/sum and
+// verifies it with check == sum·g(i); DESIGN.md §12 bounds the chance that
+// a bucket holding more than one coordinate passes. g must not be affine:
+// with g(i) = α·i + β every vector whose weighted/sum lands on an index
+// would pass. Queries scan levels from the sparsest.
 //
 // Everything is linear in the vector, so samplers over disjoint updates
-// can be merged by addition — the property the AGM sketch exploits.
+// merge by adding their buckets — the property the AGM sketch exploits.
+//
+// The state is plain data: one sampler is a row of L0Buckets, one per
+// level, and the functions below act on a row. AgmConnectivitySketch keeps
+// all its rows in one flat array; L0Sampler owns a single row for
+// standalone use.
 
 #ifndef DCS_STREAM_L0_SAMPLER_H_
 #define DCS_STREAM_L0_SAMPLER_H_
 
+#include <bit>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/check.h"
@@ -35,67 +46,79 @@ struct L0Sample {
   int64_t value = 0;  // the (nonzero) coordinate value
 };
 
-// Exact 1-sparse recovery over a (sub)vector.
-class OneSparseRecovery {
- public:
-  // `fingerprint_base` must be in [2, kModulus).
-  explicit OneSparseRecovery(uint64_t fingerprint_base);
+// The seeded 64-bit mixer (splitmix64 finalizer) behind the level and the
+// check hashes.
+inline uint64_t Hash64(uint64_t x, uint64_t seed) {
+  x += seed + 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
-  // Applies a_i += delta.
-  void Update(int64_t index, int64_t delta);
+// The seed of a sampler's check hash g(i) = Hash64(i, L0CheckSeed(seed)).
+inline uint64_t L0CheckSeed(uint64_t seed) {
+  return Hash64(seed, 0xc4ec5a17c4ec5a17ULL);
+}
 
-  // Same update with the fingerprint power r^index mod q precomputed by the
-  // caller (L0Sampler caches powers of the base; every level of one update
-  // shares the same power, so the modular exponentiation happens once).
-  void UpdateWithPower(int64_t index, int64_t delta, uint64_t power);
+// Number of levels of a sampler over [0, universe): 3 + ⌈log2 universe⌉.
+int L0LevelCount(int64_t universe);
 
-  // Adds another structure built with the same base.
-  void MergeFrom(const OneSparseRecovery& other);
+// The deepest level of a `levels`-level sampler that keeps `index`.
+inline int L0DeepestLevel(int64_t index, uint64_t seed, int levels) {
+  const uint64_t h = Hash64(static_cast<uint64_t>(index), seed);
+  const int trailing = h == 0 ? 64 : std::countr_zero(h);
+  return trailing < levels - 1 ? trailing : levels - 1;
+}
 
-  // Folds the exact internal state (sum, weighted sum, fingerprint) into an
-  // FNV-style running hash. Two structures with equal state — and only
-  // those, up to hash collisions — fold identically.
-  void AppendDigest(uint64_t& digest) const;
+// One level: exact 1-sparse recovery over the coordinates it keeps.
+struct L0Bucket {
+  int64_t sum = 0;        // Σ a_i
+  uint64_t weighted = 0;  // Σ a_i·i mod 2^64
+  uint64_t check = 0;     // Σ a_i·g(i) mod 2^64
+
+  // a_i += delta, where `check_hash` is g(i).
+  void Add(int64_t index, int64_t delta, uint64_t check_hash) {
+    sum += delta;
+    weighted += static_cast<uint64_t>(delta) * static_cast<uint64_t>(index);
+    check += static_cast<uint64_t>(delta) * check_hash;
+  }
+
+  void Merge(const L0Bucket& other) {
+    sum += other.sum;
+    weighted += other.weighted;
+    check += other.check;
+  }
 
   // True if no updates survive (the zero vector, whp).
-  bool IsZero() const;
+  bool IsZero() const { return sum == 0 && weighted == 0 && check == 0; }
 
-  // If the residual vector is exactly 1-sparse, returns it (whp correct;
-  // verified against the fingerprint). Otherwise nullopt.
-  std::optional<L0Sample> Recover() const;
-
-  static constexpr uint64_t kModulus = (1ULL << 61) - 1;  // Mersenne prime
-
- private:
-  uint64_t fingerprint_base_;
-  int64_t sum_ = 0;         // Σ a_i
-  __int128 weighted_ = 0;   // Σ a_i·i
-  uint64_t fingerprint_ = 0;  // Σ a_i·r^i mod q (values mod q)
+  // If the residual vector is exactly 1-sparse, returns it (whp correct:
+  // verified against g = Hash64(·, check_seed)). Otherwise nullopt. A
+  // coordinate with |a_i·i| ≥ 2^63 is not recovered.
+  std::optional<L0Sample> Recover(uint64_t check_seed) const;
 };
 
-// The full multi-level sampler.
+// into[j] += from[j] for every j: merges one row, or a whole sketch.
+void L0MergeBuckets(std::span<L0Bucket> into, std::span<const L0Bucket> from);
+
+// Some nonzero coordinate from the deepest recoverable level of one
+// sampler's row, or nullopt.
+std::optional<L0Sample> L0SampleRow(std::span<const L0Bucket> row,
+                                    uint64_t check_seed);
+
+// True iff every level of the row reads zero.
+bool L0RowIsZero(std::span<const L0Bucket> row);
+
+// An owning single-row sampler.
 class L0Sampler {
  public:
   // Samples over coordinate universe [0, universe). The seed fixes both
-  // the level hash and the fingerprint base; samplers must share a seed
-  // (and universe) to be mergeable.
+  // the level hash and the check hash; samplers must share a seed (and
+  // universe) to be mergeable.
   L0Sampler(int64_t universe, uint64_t seed);
 
   void Update(int64_t index, int64_t delta);
-  // Update with r^index mod q already computed. All samplers constructed
-  // from the same seed share the fingerprint base, so a caller touching
-  // several same-seed samplers with one coordinate (the AGM sketch writes
-  // +1/−1 into the two endpoints' samplers) computes the power once via
-  // PowerOf and reuses it.
-  void Update(int64_t index, int64_t delta, uint64_t power);
   void MergeFrom(const L0Sampler& other);
-
-  // r^index mod q from the cached square table (~one modular multiply per
-  // set bit of `index`, instead of a full square-and-multiply ladder).
-  uint64_t PowerOf(int64_t index) const;
-
-  // Folds all level states into `digest` (see OneSparseRecovery).
-  void AppendDigest(uint64_t& digest) const;
 
   // Some nonzero coordinate of the maintained vector, or nullopt if the
   // vector is zero or sampling failed at every level (constant failure
@@ -105,26 +128,13 @@ class L0Sampler {
   // True iff every level reads zero (so the vector is zero whp).
   bool AppearsZero() const;
 
-  int64_t universe() const { return universe_; }
-  uint64_t seed() const { return seed_; }
   int levels() const { return static_cast<int>(levels_.size()); }
 
-  // Size of the maintained measurements in bits (3 words per level).
-  int64_t SizeInBits() const {
-    return static_cast<int64_t>(levels_.size()) * 3 * 64;
-  }
-
  private:
-  // Level of a coordinate: the number of levels whose subsampling keeps it.
-  int LevelOf(int64_t index) const;
-
   int64_t universe_;
   uint64_t seed_;
-  std::vector<OneSparseRecovery> levels_;
-  // pow_squares_[i] = base^(2^i) mod q, enough entries to cover any index
-  // in [0, universe). Shared by every update; identical for samplers built
-  // from the same seed.
-  std::vector<uint64_t> pow_squares_;
+  uint64_t check_seed_;
+  std::vector<L0Bucket> levels_;
 };
 
 }  // namespace dcs

@@ -268,6 +268,49 @@ TEST(StreamIngestorTest, SnapshotTracksConnectivity) {
   EXPECT_EQ(ingestor.snapshot()->components, 2);
 }
 
+TEST(StreamIngestorTest, DoubledBridgeStacksThroughEverySeal) {
+  // Two paths joined by a bridge pushed twice. Parallel edges stack in the
+  // sketch: the bridge holds until its second delete, and every sealed
+  // digest equals a raw sketch fed the same updates. A sketch that keeps
+  // multiplicities mod 2 loses the bridge after the two inserts.
+  const int n = 8;
+  StreamIngestorOptions options;
+  options.num_shards = 3;
+  options.gutter_capacity = 2;
+  options.rounds = 6;
+  options.seed = 41;
+  StreamIngestor ingestor(n, options);
+  AgmConnectivitySketch raw(n, options.rounds, options.seed);
+  std::vector<EdgeUpdate> inserts;
+  for (int v = 0; v + 1 < n; ++v) {
+    if (v != 3) inserts.push_back(EdgeUpdate{v, v + 1, false});
+  }
+  inserts.push_back(EdgeUpdate{3, 4, false});
+  inserts.push_back(EdgeUpdate{4, 3, false});
+  const EdgeUpdate bridge_delete{3, 4, true};
+  const std::vector<std::vector<EdgeUpdate>> epochs = {
+      inserts, {bridge_delete}, {bridge_delete}};
+  const std::vector<int> components = {1, 1, 2};
+  for (size_t epoch = 0; epoch < epochs.size(); ++epoch) {
+    for (const EdgeUpdate& update : epochs[epoch]) {
+      ASSERT_TRUE(ingestor.Push(update).ok());
+      if (update.is_delete) {
+        raw.RemoveEdge(update.u, update.v);
+      } else {
+        raw.AddEdge(update.u, update.v);
+      }
+    }
+    ASSERT_TRUE(ingestor.Barrier().ok());
+    const std::shared_ptr<const StreamSnapshot> snapshot = ingestor.snapshot();
+    EXPECT_EQ(snapshot->digest, raw.Digest()) << "epoch " << epoch;
+    EXPECT_EQ(snapshot->components, components[epoch]) << "epoch " << epoch;
+    EXPECT_EQ(raw.CountComponents(), components[epoch]) << "epoch " << epoch;
+  }
+  // The bridge is gone: a third delete is refused at admission.
+  EXPECT_EQ(ingestor.Push(bridge_delete).code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(StreamIngestorTest, KSnapshotCertificateAndMinCut) {
   // A 3-bridge dumbbell through the k = 5 ingestor: min cut 3, then 2
   // after one bridge delete.

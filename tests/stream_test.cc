@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -19,8 +20,23 @@
 namespace dcs {
 namespace {
 
+// One 1-sparse recovery bucket with its check seed: the L0Bucket form of a
+// lone sampler level.
+struct CheckedBucket {
+  explicit CheckedBucket(uint64_t check_seed) : check_seed(check_seed) {}
+  void Update(int64_t index, int64_t delta) {
+    bucket.Add(index, delta, Hash64(static_cast<uint64_t>(index), check_seed));
+  }
+  void MergeFrom(const CheckedBucket& other) { bucket.Merge(other.bucket); }
+  bool IsZero() const { return bucket.IsZero(); }
+  std::optional<L0Sample> Recover() const { return bucket.Recover(check_seed); }
+
+  uint64_t check_seed;
+  L0Bucket bucket;
+};
+
 TEST(OneSparseRecoveryTest, RecoversSingleCoordinate) {
-  OneSparseRecovery recovery(12345);
+  CheckedBucket recovery(12345);
   recovery.Update(42, 7);
   const auto sample = recovery.Recover();
   ASSERT_TRUE(sample.has_value());
@@ -29,7 +45,7 @@ TEST(OneSparseRecoveryTest, RecoversSingleCoordinate) {
 }
 
 TEST(OneSparseRecoveryTest, NegativeValue) {
-  OneSparseRecovery recovery(999);
+  CheckedBucket recovery(999);
   recovery.Update(5, -3);
   const auto sample = recovery.Recover();
   ASSERT_TRUE(sample.has_value());
@@ -38,7 +54,7 @@ TEST(OneSparseRecoveryTest, NegativeValue) {
 }
 
 TEST(OneSparseRecoveryTest, CancellationYieldsZero) {
-  OneSparseRecovery recovery(54321);
+  CheckedBucket recovery(54321);
   recovery.Update(10, 4);
   recovery.Update(10, -4);
   EXPECT_TRUE(recovery.IsZero());
@@ -46,7 +62,7 @@ TEST(OneSparseRecoveryTest, CancellationYieldsZero) {
 }
 
 TEST(OneSparseRecoveryTest, RejectsTwoSparseVectors) {
-  OneSparseRecovery recovery(77777);
+  CheckedBucket recovery(77777);
   recovery.Update(3, 1);
   recovery.Update(9, 1);
   EXPECT_FALSE(recovery.Recover().has_value());
@@ -54,14 +70,14 @@ TEST(OneSparseRecoveryTest, RejectsTwoSparseVectors) {
 }
 
 TEST(OneSparseRecoveryTest, RejectsManySparseVectors) {
-  OneSparseRecovery recovery(31337);
+  CheckedBucket recovery(31337);
   for (int i = 0; i < 50; ++i) recovery.Update(i * 3, 1 + (i % 5));
   EXPECT_FALSE(recovery.Recover().has_value());
 }
 
 TEST(OneSparseRecoveryTest, MergeCancelsAcrossInstances) {
-  OneSparseRecovery a(2024);
-  OneSparseRecovery b(2024);
+  CheckedBucket a(2024);
+  CheckedBucket b(2024);
   a.Update(8, 5);
   a.Update(15, 2);
   b.Update(15, -2);
@@ -134,6 +150,116 @@ TEST(L0SamplerTest, MergeEqualsCombinedStream) {
   EXPECT_EQ(from_merge->index, from_stream->index);
   EXPECT_EQ(from_merge->value, from_stream->value);
   EXPECT_EQ(from_merge->index, 91);
+}
+
+// --- Check soundness: the hashed check must reject every bucket that is
+// not exactly 1-sparse, including the shapes an affine check accepts. ---
+
+// Σ a_i·g(i) for an affine g(i) = alpha·i + beta equals
+// sum·g(weighted/sum) for every vector, so these traps would pass it.
+bool AffineCheckAccepts(const std::vector<std::pair<int64_t, int64_t>>& vector,
+                        uint64_t alpha, uint64_t beta) {
+  uint64_t check = 0;
+  int64_t sum = 0;
+  int64_t weighted = 0;
+  for (const auto& [index, value] : vector) {
+    check += static_cast<uint64_t>(value) *
+             (alpha * static_cast<uint64_t>(index) + beta);
+    sum += value;
+    weighted += value * index;
+  }
+  if (sum == 0 || weighted % sum != 0) return false;
+  const uint64_t index = static_cast<uint64_t>(weighted / sum);
+  return check == static_cast<uint64_t>(sum) * (alpha * index + beta);
+}
+
+TEST(L0CheckTest, RejectsLinearTraps) {
+  constexpr int64_t kUniverse = int64_t{1} << 18;
+  Rng rng(5);
+  for (uint64_t seed = 0; seed < 1000; ++seed) {
+    // e_{j−d} + e_{j+d}: weighted/sum = j, an in-range index.
+    const int64_t d = 1 + static_cast<int64_t>(rng.UniformInt(1000));
+    const int64_t j =
+        d + static_cast<int64_t>(rng.UniformInt(
+                static_cast<uint64_t>(kUniverse - 2 * d)));
+    // 2·e_a − e_b: weighted/sum = 2a − b, an in-range index.
+    const int64_t b = static_cast<int64_t>(rng.UniformInt(kUniverse / 2));
+    const int64_t a = b + 1 + static_cast<int64_t>(rng.UniformInt(1000));
+    const std::vector<std::vector<std::pair<int64_t, int64_t>>> traps = {
+        {{j - d, 1}, {j + d, 1}}, {{a, 2}, {b, -1}}};
+    for (const auto& trap : traps) {
+      ASSERT_TRUE(AffineCheckAccepts(trap, rng.Next() | 1, rng.Next()));
+      CheckedBucket bucket(seed);
+      for (const auto& [index, value] : trap) bucket.Update(index, value);
+      EXPECT_FALSE(bucket.Recover().has_value())
+          << "seed " << seed << " accepted a " << trap.size()
+          << "-sparse trap";
+    }
+  }
+}
+
+TEST(L0CheckTest, RandomSparseVectorsNeverFalselyRecover) {
+  // 10^5 random k-sparse vectors, k in [2, 64], values in ±1..±3: a bucket
+  // holding all of one must never recover, and whatever the sampler
+  // returns must be a true coordinate with its true value.
+  constexpr int64_t kUniverse = int64_t{1} << 18;
+  constexpr int kVectors = 100000;
+  Rng rng(17);
+  int false_positives = 0;
+  int wrong_samples = 0;
+  int sampled = 0;
+  for (int trial = 0; trial < kVectors; ++trial) {
+    const uint64_t seed = 1000 + static_cast<uint64_t>(trial);
+    const int k = static_cast<int>(rng.UniformInRange(2, 64));
+    std::map<int64_t, int64_t> truth;
+    while (static_cast<int>(truth.size()) < k) {
+      const int64_t index = static_cast<int64_t>(rng.UniformInt(kUniverse));
+      const int64_t magnitude = rng.UniformInRange(1, 3);
+      truth.emplace(index, rng.Bernoulli(0.5) ? magnitude : -magnitude);
+    }
+    CheckedBucket bucket(seed);
+    L0Sampler sampler(kUniverse, seed);
+    for (const auto& [index, value] : truth) {
+      bucket.Update(index, value);
+      sampler.Update(index, value);
+    }
+    if (bucket.Recover().has_value()) ++false_positives;
+    const std::optional<L0Sample> sample = sampler.Sample();
+    if (!sample.has_value()) continue;
+    ++sampled;
+    const auto it = truth.find(sample->index);
+    if (it == truth.end() || it->second != sample->value) ++wrong_samples;
+  }
+  EXPECT_EQ(false_positives, 0);
+  EXPECT_EQ(wrong_samples, 0);
+  EXPECT_GE(sampled, kVectors / 2);
+}
+
+TEST(L0CheckTest, MinimumOverMinusOneDoesNotTrap) {
+  // a_0 = 1, a_{2^62} = −2 leaves level 0 with sum −1 and weighted
+  // −2^63 = INT64_MIN, whose signed division by −1 overflows (SIGFPE on
+  // x86). Recovery must reject that level instead.
+  constexpr int64_t kUniverse = INT64_MAX;
+  constexpr int64_t kFar = int64_t{1} << 62;
+  const int levels = L0LevelCount(kUniverse);
+  int reached_level_zero = 0;
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    L0Sampler sampler(kUniverse, seed);
+    sampler.Update(0, 1);
+    sampler.Update(kFar, -2);
+    const std::optional<L0Sample> sample = sampler.Sample();
+    if (L0DeepestLevel(0, seed, levels) == 0 &&
+        L0DeepestLevel(kFar, seed, levels) == 0) {
+      // Every level above 0 is empty: only the trapping level is left.
+      ++reached_level_zero;
+      EXPECT_FALSE(sample.has_value()) << "seed " << seed;
+    } else if (sample.has_value()) {
+      EXPECT_TRUE((sample->index == 0 && sample->value == 1) ||
+                  (sample->index == kFar && sample->value == -2))
+          << "seed " << seed;
+    }
+  }
+  EXPECT_GT(reached_level_zero, 0);
 }
 
 TEST(AgmSketchTest, PathGraphSpanningForest) {
