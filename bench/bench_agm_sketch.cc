@@ -153,13 +153,15 @@ BENCHMARK(BM_AgmSpanningForest)->Arg(64)->Arg(128);
 }  // namespace dcs
 
 int main(int argc, char** argv) {
-  const std::string out_path = dcs::bench::ConsumeOutFlag(
-      &argc, argv, "BENCH_agm_sketch.json");
+  // The tables above are the record; a JSON file is written only on request.
+  const std::string out_path = dcs::bench::ConsumeOutFlag(&argc, argv, "");
   dcs::TableA();
   dcs::TableB();
   dcs::TableC();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  dcs::bench::WriteBenchJson(out_path, dcs::JsonValue::MakeObject());
+  if (!out_path.empty()) {
+    dcs::bench::WriteBenchJson(out_path, dcs::JsonValue::MakeObject());
+  }
   return 0;
 }

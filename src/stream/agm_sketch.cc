@@ -42,19 +42,15 @@ void AgmConnectivitySketch::Update(VertexId u, VertexId v, int64_t delta) {
   if (u > v) std::swap(u, v);
   const int64_t coordinate = static_cast<int64_t>(u) * num_vertices_ + v;
   // The streaming hot path: per round, one level hash and one check hash,
-  // then a +delta/−delta bucket add on each touched level of both rows.
+  // then a +delta/−delta add into the deepest-level bucket of both rows.
   for (int r = 0; r < rounds_; ++r) {
     const size_t round = static_cast<size_t>(r);
-    const int deepest =
-        L0DeepestLevel(coordinate, round_seeds_[round], levels_);
+    const size_t deepest = static_cast<size_t>(
+        L0DeepestLevel(coordinate, round_seeds_[round], levels_));
     const uint64_t check_hash =
         Hash64(static_cast<uint64_t>(coordinate), check_seeds_[round]);
-    L0Bucket* low = &buckets_[RowOffset(r, u)];
-    L0Bucket* high = &buckets_[RowOffset(r, v)];
-    for (int j = 0; j <= deepest; ++j) {
-      low[j].Add(coordinate, delta, check_hash);
-      high[j].Add(coordinate, -delta, check_hash);
-    }
+    buckets_[RowOffset(r, u) + deepest].Add(coordinate, delta, check_hash);
+    buckets_[RowOffset(r, v) + deepest].Add(coordinate, -delta, check_hash);
   }
 }
 
@@ -104,10 +100,22 @@ uint64_t AgmConnectivitySketch::Digest() const {
   fold(static_cast<uint64_t>(num_vertices_));
   fold(static_cast<uint64_t>(rounds_));
   fold(seed_);
-  for (const L0Bucket& bucket : buckets_) {
-    fold(static_cast<uint64_t>(bucket.sum));
-    fold(bucket.weighted);
-    fold(bucket.check);
+  // Fold each row's levels 0, 1, … as suffix sums of its exact-level
+  // buckets: the words a sketch that adds into every level ≤ deepest
+  // would hold.
+  const size_t levels = static_cast<size_t>(levels_);
+  std::vector<L0Bucket> suffix(levels);
+  for (size_t row = 0; row < buckets_.size(); row += levels) {
+    L0Bucket level;
+    for (size_t j = levels; j-- > 0;) {
+      level.Merge(buckets_[row + j]);
+      suffix[j] = level;
+    }
+    for (const L0Bucket& bucket : suffix) {
+      fold(static_cast<uint64_t>(bucket.sum));
+      fold(bucket.weighted);
+      fold(bucket.check);
+    }
   }
   return digest;
 }

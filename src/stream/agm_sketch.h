@@ -11,9 +11,10 @@
 //    edge-coordinate space, with edge {u, v} (u < v) written as +1 into u's
 //    vector and −1 into v's — so summing a component's vectors cancels
 //    internal edges and leaves exactly the boundary. All samplers live in
-//    one flat array of L0Buckets indexed [round][vertex][level]; an update
-//    costs two hash calls per round plus one bucket add per touched level
-//    of the two endpoint rows;
+//    one flat array of L0Buckets indexed [round][vertex][level], stored
+//    exact-level (l0_sampler.h): an update costs two hash calls per round
+//    plus one bucket add in each of the two endpoint rows, at the
+//    coordinate's deepest level;
 //  * a spanning forest is extracted by Boruvka rounds: each round merges
 //    component sketches (linearity!) and ℓ₀-samples one outgoing edge per
 //    component, using a fresh sampler copy per round for independence.
@@ -64,11 +65,12 @@ class AgmConnectivitySketch {
   Status TryMergeFrom(const AgmConnectivitySketch& other);
 
   // FNV-style hash of every linear measurement (all sampler words, in a
-  // fixed order) plus the (n, rounds, seed) identity. Two sketches digest
-  // equal iff their maintained state is bit-identical (up to hash
-  // collisions) — the check the streaming tests and bench_stream use to
-  // assert that inserter count and flush interleaving do not change the
-  // final sketch.
+  // fixed order; each level as its suffix sum, so the value does not depend
+  // on the exact-level storage) plus the (n, rounds, seed) identity. Two
+  // sketches digest equal iff their maintained state is bit-identical (up
+  // to hash collisions) — the check the streaming tests and bench_stream
+  // use to assert that inserter count and flush interleaving do not change
+  // the final sketch.
   uint64_t Digest() const;
 
   // Extracts a spanning forest via Boruvka over the sketches. Whp the
@@ -103,7 +105,8 @@ class AgmConnectivitySketch {
   // Per round: the level-hash seed and the check-hash seed of its samplers.
   std::vector<uint64_t> round_seeds_;
   std::vector<uint64_t> check_seeds_;
-  // buckets_[RowOffset(round, vertex) + level]
+  // buckets_[RowOffset(round, vertex) + level], exact-level: the bucket of
+  // level j holds the coordinates whose deepest level is j.
   std::vector<L0Bucket> buckets_;
 };
 

@@ -9,10 +9,12 @@
 namespace dcs {
 namespace {
 
-// Packs a canonical edge {lo, hi} (lo < hi) into the shard ledger key.
-int64_t EdgeKey(VertexId lo, VertexId hi) {
-  return (static_cast<int64_t>(lo) << 32) | static_cast<int64_t>(hi);
+// Packs a canonical edge {lo, hi} (0 ≤ lo < hi) into the shard ledger key.
+uint64_t EdgeKey(VertexId lo, VertexId hi) {
+  return (static_cast<uint64_t>(lo) << 32) | static_cast<uint64_t>(hi);
 }
+
+constexpr int kLedgerInitialLog2 = 4;
 
 // A spanning forest of `graph` plus the implied component count.
 void ForestOf(const UndirectedGraph& graph, std::vector<Edge>& forest,
@@ -26,6 +28,55 @@ void ForestOf(const UndirectedGraph& graph, std::vector<Edge>& forest,
 }
 
 }  // namespace
+
+StreamIngestor::EdgeLedger::EdgeLedger()
+    : slots_(size_t{1} << kLedgerInitialLog2),
+      shift_(64 - kLedgerInitialLog2) {}
+
+size_t StreamIngestor::EdgeLedger::Find(uint64_t key) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(key);
+  while (slots_[i].key != key && slots_[i].key != 0) i = (i + 1) & mask;
+  return i;
+}
+
+void StreamIngestor::EdgeLedger::Insert(uint64_t key) {
+  Slot& slot = slots_[Find(key)];
+  if (slot.key != 0) {
+    ++slot.count;
+    return;
+  }
+  slot = Slot{key, 1};
+  if (2 * ++live_ > slots_.size()) Grow();
+}
+
+bool StreamIngestor::EdgeLedger::Remove(uint64_t key) {
+  size_t hole = Find(key);
+  if (slots_[hole].key == 0) return false;
+  if (--slots_[hole].count > 0) return true;
+  // Backward shift: pull each later member of the probe run whose home is
+  // not cyclically in (hole, j] into the hole, so every remaining key stays
+  // reachable from its home without tombstones.
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = (hole + 1) & mask; slots_[j].key != 0; j = (j + 1) & mask) {
+    if (((j - Home(slots_[j].key)) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --live_;
+  return true;
+}
+
+void StreamIngestor::EdgeLedger::Grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  --shift_;
+  for (const Slot& slot : old) {
+    if (slot.key != 0) slots_[Find(slot.key)] = slot;
+  }
+}
 
 StreamIngestor::StreamIngestor(int num_vertices, StreamIngestorOptions options)
     : num_vertices_(num_vertices),
@@ -80,18 +131,14 @@ Status StreamIngestor::Push(const EdgeUpdate& update) {
     if (draining_.load(std::memory_order_acquire)) {
       return UnavailableError("ingestor is draining: update rejected");
     }
-    const int64_t key = EdgeKey(lo, hi);
-    if (update.is_delete) {
-      const auto it = shard.live.find(key);
-      if (it == shard.live.end()) {
-        return FailedPreconditionError(
-            "delete of edge " + std::to_string(lo) + " -- " +
-            std::to_string(hi) +
-            " with live multiplicity 0 (never inserted or already deleted)");
-      }
-      if (--it->second == 0) shard.live.erase(it);
-    } else {
-      ++shard.live[key];
+    const uint64_t key = EdgeKey(lo, hi);
+    if (!update.is_delete) {
+      shard.live.Insert(key);
+    } else if (!shard.live.Remove(key)) {
+      return FailedPreconditionError(
+          "delete of edge " + std::to_string(lo) + " -- " +
+          std::to_string(hi) +
+          " with live multiplicity 0 (never inserted or already deleted)");
     }
     shard.gutter.push_back(EdgeUpdate{lo, hi, update.is_delete});
     if (static_cast<int>(shard.gutter.size()) >= options_.gutter_capacity) {

@@ -43,7 +43,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/types.h"
@@ -158,15 +157,47 @@ class StreamIngestor {
   CutOracle EpochCutOracle() const;
 
  private:
+  // Live multiplicity per edge: an open-addressed table keyed by the packed
+  // edge (lo << 32) | hi, never 0 because hi ≥ 1, so key 0 marks an empty
+  // slot. Power-of-two capacity, linear probing from a multiplicative
+  // hash, growth at load ½. An edge whose count reaches 0 is erased by
+  // backward shift (no tombstones), so the table holds only live edges.
+  class EdgeLedger {
+   public:
+    EdgeLedger();
+    void Insert(uint64_t key);
+    // Decrements key's count; false (and no change) if the edge is not live.
+    bool Remove(uint64_t key);
+
+   private:
+    struct Slot {
+      uint64_t key = 0;
+      int64_t count = 0;
+    };
+    size_t Home(uint64_t key) const {
+      return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+    }
+    // The slot holding `key`, or the empty slot that ends its probe chain.
+    size_t Find(uint64_t key) const;
+    void Grow();
+
+    std::vector<Slot> slots_;
+    int shift_;  // 64 − log2(capacity)
+    size_t live_ = 0;
+  };
+
   struct Shard {
     // Admission state. gutter_mutex also guards `live`: per-edge live
     // multiplicity counting every admitted update (buffered or applied),
-    // the ledger that rejects negative-going deletes.
+    // the ledger that rejects negative-going deletes. It holds only edges
+    // with a nonzero count.
     std::mutex gutter_mutex;
     std::vector<EdgeUpdate> gutter;
-    std::unordered_map<int64_t, int64_t> live;
+    EdgeLedger live;
 
     // Application state: exactly one sketch is engaged (by options.k).
+    // Applying an update adds into one exact-level bucket per endpoint row
+    // and round (agm_sketch.h).
     std::mutex apply_mutex;
     std::optional<AgmConnectivitySketch> sketch;
     std::optional<AgmKConnectivitySketch> ksketch;

@@ -31,8 +31,11 @@ void L0MergeBuckets(std::span<L0Bucket> into, std::span<const L0Bucket> from) {
 std::optional<L0Sample> L0SampleRow(std::span<const L0Bucket> row,
                                     uint64_t check_seed) {
   // Deepest (sparsest) levels first: the first recoverable level wins.
+  // `level` is the suffix sum row[j..], i.e. level j's bucket.
+  L0Bucket level;
   for (size_t j = row.size(); j-- > 0;) {
-    const std::optional<L0Sample> sample = row[j].Recover(check_seed);
+    level.Merge(row[j]);
+    const std::optional<L0Sample> sample = level.Recover(check_seed);
     if (sample.has_value()) return sample;
   }
   return std::nullopt;
@@ -56,10 +59,8 @@ void L0Sampler::Update(int64_t index, int64_t delta) {
   DCS_CHECK_LT(index, universe_);
   if (delta == 0) return;
   const int deepest = L0DeepestLevel(index, seed_, levels());
-  const uint64_t check_hash = Hash64(static_cast<uint64_t>(index), check_seed_);
-  for (int j = 0; j <= deepest; ++j) {
-    levels_[static_cast<size_t>(j)].Add(index, delta, check_hash);
-  }
+  levels_[static_cast<size_t>(deepest)].Add(
+      index, delta, Hash64(static_cast<uint64_t>(index), check_seed_));
 }
 
 void L0Sampler::MergeFrom(const L0Sampler& other) {

@@ -7,17 +7,25 @@
 // deletions), and can report some coordinate with a_i ≠ 0 with constant
 // success probability.
 //
-// Construction: per level j, coordinates are subsampled with probability
-// 2^{-j} (the trailing zeros of Hash64(i, seed)), and each level keeps a
-// 1-sparse recovery bucket
+// Construction: level j keeps the coordinates whose level hash (the
+// trailing zeros of Hash64(i, seed)) is at least j, so it subsamples with
+// probability 2^{-j}, and answers with a 1-sparse recovery bucket
 //   (sum, weighted, check) = (Σ a_i, Σ a_i·i, Σ a_i·g(i))
-// over the surviving coordinates, the last two wrapping mod 2^64. g is a
+// over the kept coordinates, the last two wrapping mod 2^64. g is a
 // second seeded 64-bit mixer (Hash64 under a salted seed). A level that is
 // exactly 1-sparse reproduces its coordinate as i = weighted/sum and
 // verifies it with check == sum·g(i); DESIGN.md §12 bounds the chance that
 // a bucket holding more than one coordinate passes. g must not be affine:
 // with g(i) = α·i + β every vector whose weighted/sum lands on an index
 // would pass. Queries scan levels from the sparsest.
+//
+// Storage is exact-level: bucket j of a row holds only the coordinates
+// whose deepest level is exactly j, so an update adds into one bucket.
+// Level j's bucket is the suffix sum of buckets j..deepest; readers
+// (L0SampleRow, the AGM digest) rebuild it with a running sum while they
+// scan down from the deepest level. The map between the two layouts is
+// linear and invertible, so a row is zero in one iff it is zero in the
+// other.
 //
 // Everything is linear in the vector, so samplers over disjoint updates
 // merge by adding their buckets — the property the AGM sketch exploits.
@@ -70,7 +78,7 @@ inline int L0DeepestLevel(int64_t index, uint64_t seed, int levels) {
   return trailing < levels - 1 ? trailing : levels - 1;
 }
 
-// One level: exact 1-sparse recovery over the coordinates it keeps.
+// One bucket: exact 1-sparse recovery over the coordinates it holds.
 struct L0Bucket {
   int64_t sum = 0;        // Σ a_i
   uint64_t weighted = 0;  // Σ a_i·i mod 2^64
@@ -102,11 +110,11 @@ struct L0Bucket {
 void L0MergeBuckets(std::span<L0Bucket> into, std::span<const L0Bucket> from);
 
 // Some nonzero coordinate from the deepest recoverable level of one
-// sampler's row, or nullopt.
+// sampler's exact-level row (levels rebuilt as suffix sums), or nullopt.
 std::optional<L0Sample> L0SampleRow(std::span<const L0Bucket> row,
                                     uint64_t check_seed);
 
-// True iff every level of the row reads zero.
+// True iff every bucket of the row reads zero (equivalently, every level).
 bool L0RowIsZero(std::span<const L0Bucket> row);
 
 // An owning single-row sampler.

@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
@@ -147,6 +150,130 @@ TEST(StreamIngestorTest, DeleteValidationTracksMultiplicity) {
   // Re-inserting revives the edge for one more delete.
   ASSERT_TRUE(ingestor.PushInsert(1, 2).ok());
   ASSERT_TRUE(ingestor.PushDelete(1, 2).ok());
+}
+
+// Random admission traffic checked against a std::map multiplicity model.
+// Phases of 5000 steps alternate between mostly inserts (the ledger grows
+// through several doublings) and mostly deletes (live edges drain out of
+// the middle of probe runs). A delete aims at a live edge 70% of the time
+// and at a random, usually dead, pair otherwise. Only edges that `owns`
+// accepts are generated, so concurrent callers can keep exact per-edge
+// models.
+struct LedgerTraffic {
+  std::vector<EdgeUpdate> accepted;
+  int64_t rejected = 0;
+  int64_t mismatches = 0;  // statuses that disagree with the model
+  size_t peak_live = 0;    // most distinct live edges at once
+};
+
+LedgerTraffic RunLedgerTraffic(
+    StreamIngestor& ingestor, int steps, uint64_t seed,
+    const std::function<bool(VertexId, VertexId)>& owns) {
+  const int n = ingestor.num_vertices();
+  Rng rng(seed);
+  std::map<std::pair<VertexId, VertexId>, int64_t> live;
+  LedgerTraffic traffic;
+  for (int step = 0; step < steps; ++step) {
+    const bool growing = (step / 5000) % 2 == 0;
+    const bool is_delete = rng.Bernoulli(growing ? 0.2 : 0.85);
+    std::pair<VertexId, VertexId> edge;
+    do {
+      const auto a = static_cast<VertexId>(rng.UniformInt(n));
+      const auto b = static_cast<VertexId>(rng.UniformInt(n));
+      edge = {std::min(a, b), std::max(a, b)};
+    } while (edge.first == edge.second || !owns(edge.first, edge.second));
+    if (is_delete && !live.empty() && rng.Bernoulli(0.7)) {
+      auto it = live.lower_bound(edge);
+      edge = (it == live.end() ? live.begin() : it)->first;
+    }
+    // Either endpoint order: the ledger keys on the canonical edge.
+    const EdgeUpdate update =
+        rng.Bernoulli(0.5) ? EdgeUpdate{edge.first, edge.second, is_delete}
+                           : EdgeUpdate{edge.second, edge.first, is_delete};
+    const Status status = ingestor.Push(update);
+    const auto it = live.find(edge);
+    if (is_delete && it == live.end()) {
+      if (status.code() != StatusCode::kFailedPrecondition) {
+        ++traffic.mismatches;
+      }
+      ++traffic.rejected;
+      continue;
+    }
+    if (!status.ok()) {
+      ++traffic.mismatches;
+      continue;
+    }
+    traffic.accepted.push_back(update);
+    if (!is_delete) {
+      ++live[edge];
+    } else if (--it->second == 0) {
+      live.erase(it);
+    }
+    traffic.peak_live = std::max(traffic.peak_live, live.size());
+  }
+  return traffic;
+}
+
+TEST(StreamIngestorTest, LedgerMatchesMultiplicityModel) {
+  // 1.2·10^5 pushes. n = 64 over 7 shards grows each shard's ledger to
+  // over 200 live edges (16 → 512 slots); n = 12 over 5 shards keeps the
+  // tables small and crowded, so deletes empty slots inside probe runs.
+  struct Config {
+    int n;
+    int shards;
+  };
+  for (const Config config : {Config{64, 7}, Config{12, 5}}) {
+    StreamIngestorOptions options;
+    options.num_shards = config.shards;
+    options.gutter_capacity = 13;
+    options.rounds = 4;
+    options.seed = 9;
+    StreamIngestor ingestor(config.n, options);
+    const LedgerTraffic traffic =
+        RunLedgerTraffic(ingestor, 60000, static_cast<uint64_t>(config.n),
+                         [](VertexId, VertexId) { return true; });
+    EXPECT_EQ(traffic.mismatches, 0) << "n=" << config.n;
+    EXPECT_GT(traffic.rejected, 1000) << "n=" << config.n;
+    EXPECT_GE(traffic.peak_live,
+              static_cast<size_t>(config.n * (config.n - 1) / 2 * 3 / 4))
+        << "n=" << config.n;
+    ASSERT_TRUE(ingestor.Barrier().ok());
+    EXPECT_EQ(ingestor.snapshot()->digest,
+              SerialDigest(config.n, 4, 9, traffic.accepted))
+        << "n=" << config.n;
+  }
+}
+
+TEST(StreamIngestorTest, LedgerMatchesModelUnderConcurrentProducers) {
+  // Four producers on shared shards, each owning a disjoint quarter of the
+  // edges (so each keeps an exact model of its own edges).
+  constexpr int kProducers = 4;
+  const int n = 40;
+  StreamIngestorOptions options;
+  options.num_shards = 3;
+  options.gutter_capacity = 16;
+  options.rounds = 4;
+  options.seed = 17;
+  StreamIngestor ingestor(n, options);
+  std::vector<LedgerTraffic> traffic(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&ingestor, &traffic, p] {
+      traffic[static_cast<size_t>(p)] = RunLedgerTraffic(
+          ingestor, 12000, SubtaskSeed(29, p), [p](VertexId lo, VertexId hi) {
+            return (lo * 131 + hi) % kProducers == p;
+          });
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  std::vector<EdgeUpdate> accepted;
+  for (const LedgerTraffic& t : traffic) {
+    EXPECT_EQ(t.mismatches, 0);
+    EXPECT_GT(t.rejected, 0);
+    accepted.insert(accepted.end(), t.accepted.begin(), t.accepted.end());
+  }
+  ASSERT_TRUE(ingestor.Barrier().ok());
+  EXPECT_EQ(ingestor.snapshot()->digest, SerialDigest(n, 4, 17, accepted));
 }
 
 TEST(StreamIngestorTest, ShutdownDrainsSealsAndRejectsLatePushes) {

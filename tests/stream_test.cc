@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "mincut/stoer_wagner.h"
 #include "gtest/gtest.h"
 #include "stream/agm_sketch.h"
+#include "stream/binary_stream.h"
 #include "stream/l0_sampler.h"
 #include "util/random.h"
 
@@ -260,6 +262,107 @@ TEST(L0CheckTest, MinimumOverMinusOneDoesNotTrap) {
     }
   }
   EXPECT_GT(reached_level_zero, 0);
+}
+
+// --- Exact-level storage: the sampler stores each coordinate at its
+// deepest level only and rebuilds level j as a suffix sum. It must answer
+// exactly like the cumulative layout, where an update adds into every
+// level 0..deepest and a query reads the levels as stored. ---
+
+class CumulativeReferenceSampler {
+ public:
+  CumulativeReferenceSampler(int64_t universe, uint64_t seed)
+      : seed_(seed),
+        check_seed_(L0CheckSeed(seed)),
+        levels_(static_cast<size_t>(L0LevelCount(universe))) {}
+
+  void Update(int64_t index, int64_t delta) {
+    if (delta == 0) return;
+    const int deepest =
+        L0DeepestLevel(index, seed_, static_cast<int>(levels_.size()));
+    const uint64_t check_hash =
+        Hash64(static_cast<uint64_t>(index), check_seed_);
+    for (int j = 0; j <= deepest; ++j) {
+      levels_[static_cast<size_t>(j)].Add(index, delta, check_hash);
+    }
+  }
+
+  void MergeFrom(const CumulativeReferenceSampler& other) {
+    for (size_t j = 0; j < levels_.size(); ++j) {
+      levels_[j].Merge(other.levels_[j]);
+    }
+  }
+
+  std::optional<L0Sample> Sample() const {
+    for (size_t j = levels_.size(); j-- > 0;) {
+      const std::optional<L0Sample> sample = levels_[j].Recover(check_seed_);
+      if (sample.has_value()) return sample;
+    }
+    return std::nullopt;
+  }
+
+  bool AppearsZero() const {
+    return std::all_of(levels_.begin(), levels_.end(),
+                       [](const L0Bucket& level) { return level.IsZero(); });
+  }
+
+ private:
+  uint64_t seed_;
+  uint64_t check_seed_;
+  std::vector<L0Bucket> levels_;
+};
+
+TEST(L0SamplerTest, ExactLevelMatchesCumulativeReference) {
+  // 2·10^4 random sparse vectors with mixed signs, each split over two
+  // samplers that are then merged; some coordinates cancel to zero, some
+  // vectors vanish entirely.
+  constexpr int kVectors = 20000;
+  const int64_t universes[] = {16, 1000, int64_t{1} << 18, int64_t{1} << 40};
+  Rng rng(23);
+  int sampled = 0;
+  int zero = 0;
+  for (int trial = 0; trial < kVectors; ++trial) {
+    const int64_t universe = universes[rng.UniformInt(4)];
+    const uint64_t seed = rng.Next();
+    L0Sampler a(universe, seed);
+    L0Sampler b(universe, seed);
+    CumulativeReferenceSampler ref_a(universe, seed);
+    CumulativeReferenceSampler ref_b(universe, seed);
+    const int updates = static_cast<int>(rng.UniformInRange(0, 24));
+    std::vector<std::pair<int64_t, int64_t>> applied;
+    for (int u = 0; u < updates; ++u) {
+      int64_t index = static_cast<int64_t>(
+          rng.UniformInt(static_cast<uint64_t>(universe)));
+      int64_t delta = rng.UniformInRange(-3, 3);
+      if (!applied.empty() && rng.Bernoulli(0.3)) {
+        // Cancel an earlier update, possibly through the other sampler.
+        std::tie(index, delta) = applied[rng.UniformInt(applied.size())];
+        delta = -delta;
+      }
+      applied.emplace_back(index, delta);
+      if (rng.Bernoulli(0.5)) {
+        a.Update(index, delta);
+        ref_a.Update(index, delta);
+      } else {
+        b.Update(index, delta);
+        ref_b.Update(index, delta);
+      }
+    }
+    a.MergeFrom(b);
+    ref_a.MergeFrom(ref_b);
+    const std::optional<L0Sample> got = a.Sample();
+    const std::optional<L0Sample> want = ref_a.Sample();
+    ASSERT_EQ(got.has_value(), want.has_value()) << "trial " << trial;
+    if (got.has_value()) {
+      ++sampled;
+      EXPECT_EQ(got->index, want->index) << "trial " << trial;
+      EXPECT_EQ(got->value, want->value) << "trial " << trial;
+    }
+    ASSERT_EQ(a.AppearsZero(), ref_a.AppearsZero()) << "trial " << trial;
+    if (a.AppearsZero()) ++zero;
+  }
+  EXPECT_GT(sampled, kVectors / 2);
+  EXPECT_GT(zero, 100);
 }
 
 TEST(AgmSketchTest, PathGraphSpanningForest) {
@@ -518,6 +621,41 @@ TEST(AgmSketchDigestTest, DigestCoversIdentity) {
             AgmConnectivitySketch(16, 4, 12).Digest());
   EXPECT_NE(AgmConnectivitySketch(16, 4, 11).Digest(),
             AgmConnectivitySketch(16, 5, 11).Digest());
+}
+
+TEST(AgmSketchDigestTest, GoldenDigestsOfSeededStreams) {
+  // Digests of three seeded streams as computed by the cumulative layout
+  // (every level 0..deepest written). The exact-level storage changed the
+  // representation, not the digest.
+  struct Golden {
+    uint64_t seed;
+    uint64_t connectivity;
+    uint64_t k_connectivity;
+  };
+  const Golden goldens[] = {
+      {1, 0xc8c60ea32470a068ULL, 0x7bb3c5cac8cc2a8dULL},
+      {7, 0x75589d66fdfd2b30ULL, 0x5faa2aaf1c103f33ULL},
+      {42, 0x7a0cfa7b0bdb8dbfULL, 0x0de457ca2165a6c6ULL},
+  };
+  for (const Golden& golden : goldens) {
+    Rng rng(golden.seed);
+    const std::vector<EdgeUpdate> stream =
+        RandomUpdateStream(200, 20000, 0.3, rng);
+    AgmConnectivitySketch sketch(200, 0, golden.seed);
+    AgmKConnectivitySketch ksketch(200, 3, 0, golden.seed);
+    for (const EdgeUpdate& update : stream) {
+      if (update.is_delete) {
+        sketch.RemoveEdge(update.u, update.v);
+        ksketch.RemoveEdge(update.u, update.v);
+      } else {
+        sketch.AddEdge(update.u, update.v);
+        ksketch.AddEdge(update.u, update.v);
+      }
+    }
+    EXPECT_EQ(sketch.Digest(), golden.connectivity) << "seed " << golden.seed;
+    EXPECT_EQ(ksketch.Digest(), golden.k_connectivity)
+        << "seed " << golden.seed;
+  }
 }
 
 // --- Merge under deletion: edge-disjoint sharded maintenance with
