@@ -59,11 +59,14 @@ run_one() {
     # store_test rides along: segment append/reopen/compact and the cache
     # snapshot round trip are raw-byte and pread-heavy paths where ASan
     # catches off-by-one record framing that the checksums alone mask.
+    # util_writer_preferring_mutex_test rides along: the seal gate's
+    # reader/writer hand-offs are condition-variable waits worth an
+    # isolated pass under the checker.
     # envelope_mutation_test rides along: it feeds checksum-valid mutants
     # of every envelope kind to the payload parsers, so an over-read or UB
     # there surfaces as a sanitizer report rather than a wrong Status.
     ctest --test-dir "${build_dir}" --output-on-failure \
-      -R '^(serve_test|tsan_stress_test|stream_test|ingest_test|sparsifier_differential_test|transport_test|store_test|envelope_mutation_test)$'
+      -R '^(serve_test|tsan_stress_test|stream_test|ingest_test|util_writer_preferring_mutex_test|sparsifier_differential_test|transport_test|store_test|envelope_mutation_test)$'
     # The SIMD dispatch layer has two code paths per kernel (vectorized
     # and forced-scalar); run the kernels' consumers under the checker on
     # both so neither path escapes sanitizer coverage.

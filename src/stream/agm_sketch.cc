@@ -1,5 +1,6 @@
 #include "stream/agm_sketch.h"
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <utility>
@@ -51,6 +52,26 @@ void AgmConnectivitySketch::Update(VertexId u, VertexId v, int64_t delta) {
         Hash64(static_cast<uint64_t>(coordinate), check_seeds_[round]);
     buckets_[RowOffset(r, u) + deepest].Add(coordinate, delta, check_hash);
     buckets_[RowOffset(r, v) + deepest].Add(coordinate, -delta, check_hash);
+  }
+}
+
+void AgmConnectivitySketch::UpdateRow(VertexId row, VertexId other,
+                                      int64_t delta) {
+  DCS_CHECK(row >= 0 && row < num_vertices_);
+  DCS_CHECK(other >= 0 && other < num_vertices_);
+  DCS_CHECK_NE(row, other);
+  const VertexId lo = std::min(row, other);
+  const VertexId hi = std::max(row, other);
+  const int64_t coordinate = static_cast<int64_t>(lo) * num_vertices_ + hi;
+  const int64_t signed_delta = row == lo ? delta : -delta;
+  // Update's per-round work, restricted to one of the two rows.
+  for (int r = 0; r < rounds_; ++r) {
+    const size_t round = static_cast<size_t>(r);
+    const size_t deepest = static_cast<size_t>(
+        L0DeepestLevel(coordinate, round_seeds_[round], levels_));
+    buckets_[RowOffset(r, row) + deepest].Add(
+        coordinate, signed_delta,
+        Hash64(static_cast<uint64_t>(coordinate), check_seeds_[round]));
   }
 }
 
@@ -120,18 +141,34 @@ uint64_t AgmConnectivitySketch::Digest() const {
   return digest;
 }
 
-std::vector<Edge> AgmConnectivitySketch::SpanningForest() const {
+bool AgmConnectivitySketch::RoundSumsAreZero() const {
+  const size_t levels = static_cast<size_t>(levels_);
+  std::vector<L0Bucket> total(levels);
+  for (int r = 0; r < rounds_; ++r) {
+    std::fill(total.begin(), total.end(), L0Bucket{});
+    for (int v = 0; v < num_vertices_; ++v) {
+      L0MergeBuckets(total, std::span<const L0Bucket>(
+                                &buckets_[RowOffset(r, v)], levels));
+    }
+    if (!L0RowIsZero(total)) return false;
+  }
+  return true;
+}
+
+std::vector<Edge> AgmConnectivitySketch::SpanningForest() const& {
+  return AgmConnectivitySketch(*this).SpanningForest();
+}
+
+std::vector<Edge> AgmConnectivitySketch::SpanningForest() && {
   const int n = num_vertices_;
   const size_t levels = static_cast<size_t>(levels_);
   UnionFind components(n);
   auto find = [&components](int v) { return components.Find(v); };
 
-  // Per-component merged samplers: the (r, root) row of this copy holds
-  // the round-r sampler summed over root's component. A copy, so
-  // extraction does not disturb the sketch.
-  std::vector<L0Bucket> component = buckets_;
-  const auto row = [&component, levels, this](int r, int v) {
-    return std::span<L0Bucket>(&component[RowOffset(r, v)], levels);
+  // Per-component merged samplers, in place: once components merge, the
+  // (r, root) row holds the round-r sampler summed over root's component.
+  const auto row = [levels, this](int r, int v) {
+    return std::span<L0Bucket>(&buckets_[RowOffset(r, v)], levels);
   };
   std::vector<Edge> forest;
   for (int r = 0; r < rounds_; ++r) {
@@ -213,6 +250,13 @@ void AgmKConnectivitySketch::RemoveEdge(VertexId u, VertexId v) {
   for (AgmConnectivitySketch& layer : layers_) layer.RemoveEdge(u, v);
 }
 
+void AgmKConnectivitySketch::UpdateRow(VertexId row, VertexId other,
+                                       int64_t delta) {
+  for (AgmConnectivitySketch& layer : layers_) {
+    layer.UpdateRow(row, other, delta);
+  }
+}
+
 void AgmKConnectivitySketch::MergeFrom(const AgmKConnectivitySketch& other) {
   const Status status = TryMergeFrom(other);
   DCS_CHECK(status.ok());
@@ -258,17 +302,19 @@ uint64_t AgmKConnectivitySketch::Digest() const {
   return digest;
 }
 
-UndirectedGraph AgmKConnectivitySketch::Certificate() const {
+UndirectedGraph AgmKConnectivitySketch::Certificate() const& {
+  return AgmKConnectivitySketch(*this).Certificate();
+}
+
+UndirectedGraph AgmKConnectivitySketch::Certificate() && {
   UndirectedGraph certificate(num_vertices_);
-  // Work on copies so extraction leaves the sketch intact; forests peeled
-  // from earlier layers are deleted from all later layers.
-  std::vector<AgmConnectivitySketch> layers = layers_;
-  for (size_t layer = 0; layer < layers.size(); ++layer) {
-    const std::vector<Edge> forest = layers[layer].SpanningForest();
+  // Forests peeled from earlier layers are deleted from all later layers.
+  for (size_t layer = 0; layer < layers_.size(); ++layer) {
+    const std::vector<Edge> forest = std::move(layers_[layer]).SpanningForest();
     for (const Edge& e : forest) {
       certificate.AddEdge(e.src, e.dst, 1.0);
-      for (size_t later = layer + 1; later < layers.size(); ++later) {
-        layers[later].RemoveEdge(e.src, e.dst);
+      for (size_t later = layer + 1; later < layers_.size(); ++later) {
+        layers_[later].RemoveEdge(e.src, e.dst);
       }
     }
   }
@@ -276,7 +322,11 @@ UndirectedGraph AgmKConnectivitySketch::Certificate() const {
 }
 
 double AgmKConnectivitySketch::MinCutUpToK() const {
-  const UndirectedGraph certificate = Certificate();
+  return CertificateMinCut(Certificate());
+}
+
+double AgmKConnectivitySketch::CertificateMinCut(
+    const UndirectedGraph& certificate) {
   if (certificate.num_edges() == 0) return 0;
   if (!IsConnected(certificate)) return 0;
   return StoerWagnerMinCut(certificate).value;

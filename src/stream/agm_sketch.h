@@ -53,6 +53,14 @@ class AgmConnectivitySketch {
   void AddEdge(VertexId u, VertexId v);
   void RemoveEdge(VertexId u, VertexId v);
 
+  // The `row` endpoint's half of adding delta copies of edge {row, other}:
+  // +delta at the edge's coordinate in row's samplers if row < other, else
+  // −delta. No other vertex's row is touched, so callers that own disjoint
+  // vertex ranges may apply halves to one sketch concurrently.
+  // UpdateRow(u, v, d) plus UpdateRow(v, u, d) is exactly one full update
+  // of {u, v} by d (AddEdge for d = 1, RemoveEdge for d = −1).
+  void UpdateRow(VertexId row, VertexId other, int64_t delta);
+
   // Adds all edges recorded in `other` (linearity; edge-disjoint parts).
   // Requires matching (n, rounds, seed) — aborts on mismatch (programmer
   // error in a single-process pipeline).
@@ -73,11 +81,20 @@ class AgmConnectivitySketch {
   // the final sketch.
   uint64_t Digest() const;
 
+  // True iff, in every round, the rows of all vertices sum to zero bucket
+  // by bucket. A whole edge update adds +e and −e at the same level of its
+  // two endpoint rows, so every sketch of whole updates passes; one that
+  // holds a lone UpdateRow half fails (whp). A consistency check for tests.
+  bool RoundSumsAreZero() const;
+
   // Extracts a spanning forest via Boruvka over the sketches. Whp the
   // result spans every connected component; with bounded rounds or unlucky
   // sampling it may under-connect (never over-connect: every returned edge
-  // is a real edge whp).
-  std::vector<Edge> SpanningForest() const;
+  // is a real edge whp). The const overload runs on a copy of the
+  // measurements; the rvalue overload runs in place on this sketch's own
+  // (same forest, one copy fewer), leaving them merged by component.
+  std::vector<Edge> SpanningForest() const&;
+  std::vector<Edge> SpanningForest() &&;
 
   // Number of connected components implied by SpanningForest().
   int CountComponents() const;
@@ -132,6 +149,8 @@ class AgmKConnectivitySketch {
 
   void AddEdge(VertexId u, VertexId v);
   void RemoveEdge(VertexId u, VertexId v);
+  // AgmConnectivitySketch::UpdateRow on every layer.
+  void UpdateRow(VertexId row, VertexId other, int64_t delta);
   // Aborting / Status-returning merges, as in AgmConnectivitySketch.
   void MergeFrom(const AgmKConnectivitySketch& other);
   Status TryMergeFrom(const AgmKConnectivitySketch& other);
@@ -141,13 +160,18 @@ class AgmKConnectivitySketch {
 
   // The union of the k nested forests (unit weights). Whp it preserves the
   // edge count of every cut of value < k and contains ≥ min(cut, k) edges
-  // across every cut.
-  UndirectedGraph Certificate() const;
+  // across every cut. The rvalue overload peels the forests in place
+  // (same certificate, no copy of the layers), as SpanningForest() &&.
+  UndirectedGraph Certificate() const&;
+  UndirectedGraph Certificate() &&;
 
   // The certificate's global min cut. Whp this equals the true min cut
   // whenever that is below k; otherwise it lies in [k, true min cut]
   // (the certificate is a subgraph, so it never overstates any cut).
   double MinCutUpToK() const;
+  // MinCutUpToK() of an already extracted certificate: 0 if it is empty
+  // or disconnected, else its Stoer–Wagner min cut.
+  static double CertificateMinCut(const UndirectedGraph& certificate);
 
   int64_t SizeInBits() const;
 

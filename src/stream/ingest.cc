@@ -1,6 +1,7 @@
 #include "stream/ingest.h"
 
 #include <algorithm>
+#include <shared_mutex>
 #include <string>
 #include <utility>
 
@@ -88,24 +89,23 @@ StreamIngestor::StreamIngestor(int num_vertices, StreamIngestorOptions options)
   DCS_CHECK_GE(options.num_threads, 1);
   DCS_CHECK_GE(options.rounds, 0);
   DCS_CHECK_GE(options.k, 0);
-  shards_.reserve(static_cast<size_t>(options.num_shards));
-  for (int s = 0; s < options.num_shards; ++s) {
+  const size_t num_shards = static_cast<size_t>(options.num_shards);
+  shards_.reserve(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
-    if (options.k == 0) {
-      shard->sketch.emplace(num_vertices, options.rounds, options.seed);
-    } else {
-      shard->ksketch.emplace(num_vertices, options.k, options.rounds,
-                             options.seed);
-    }
     shard->gutter.reserve(static_cast<size_t>(options.gutter_capacity));
     shards_.push_back(std::move(shard));
   }
+  stripe_rows_ = (num_vertices + options.num_shards - 1) / options.num_shards;
+  stripes_ = std::vector<Stripe>(num_shards);
+  if (options.k == 0) {
+    sketch_.emplace(num_vertices, options.rounds, options.seed);
+  } else {
+    ksketch_.emplace(num_vertices, options.k, options.rounds, options.seed);
+  }
   // Seal the empty epoch-0 snapshot so queries are well-defined before the
-  // first Barrier(). Merging fresh same-seed shards cannot fail.
-  StatusOr<std::shared_ptr<StreamSnapshot>> initial = SealMerged();
-  DCS_CHECK(initial.ok());
-  (*initial)->epoch = 0;
-  snapshot_ = std::move(*initial);
+  // first Barrier().
+  snapshot_ = Seal();
 }
 
 Status StreamIngestor::Push(const EdgeUpdate& update) {
@@ -121,7 +121,8 @@ Status StreamIngestor::Push(const EdgeUpdate& update) {
   }
   const VertexId lo = std::min(update.u, update.v);
   const VertexId hi = std::max(update.u, update.v);
-  Shard& shard = *shards_[static_cast<size_t>(lo % num_shards())];
+  const size_t s = static_cast<size_t>(lo % num_shards());
+  Shard& shard = *shards_[s];
   {
     std::unique_lock<std::mutex> lock(shard.gutter_mutex);
     // Checked under the gutter mutex: Shutdown's final flush takes this
@@ -141,19 +142,10 @@ Status StreamIngestor::Push(const EdgeUpdate& update) {
           " with live multiplicity 0 (never inserted or already deleted)");
     }
     shard.gutter.push_back(EdgeUpdate{lo, hi, update.is_delete});
+    // The gutter is released before the (per-update-cost) apply, so
+    // admission on this shard resumes immediately.
     if (static_cast<int>(shard.gutter.size()) >= options_.gutter_capacity) {
-      std::vector<EdgeUpdate> batch;
-      batch.swap(shard.gutter);
-      shard.gutter.reserve(static_cast<size_t>(options_.gutter_capacity));
-      // Acquire the apply mutex before releasing the gutter mutex (the
-      // documented lock order), so a barrier cannot seal a snapshot in the
-      // window between this swap and the apply — the swapped batch is
-      // always applied before SealMerged can freeze this shard. The gutter
-      // is released before the (per-update-cost) apply, so admission on
-      // this shard resumes immediately.
-      std::lock_guard<std::mutex> apply_lock(shard.apply_mutex);
-      lock.unlock();
-      ApplyBatch(shard, batch);
+      FlushLocked(s, lock);
     }
   }
   updates_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -168,74 +160,86 @@ Status StreamIngestor::PushDelete(VertexId u, VertexId v) {
   return Push(EdgeUpdate{u, v, true});
 }
 
-void StreamIngestor::ApplyBatch(Shard& shard,
-                                const std::vector<EdgeUpdate>& batch) {
-  for (const EdgeUpdate& update : batch) {
-    if (options_.k == 0) {
-      if (update.is_delete) {
-        shard.sketch->RemoveEdge(update.u, update.v);
-      } else {
-        shard.sketch->AddEdge(update.u, update.v);
-      }
-    } else {
-      if (update.is_delete) {
-        shard.ksketch->RemoveEdge(update.u, update.v);
-      } else {
-        shard.ksketch->AddEdge(update.u, update.v);
-      }
-    }
-  }
-  shard.applied += static_cast<int64_t>(batch.size());
-}
-
-void StreamIngestor::FlushShard(Shard& shard) {
+void StreamIngestor::FlushLocked(size_t s,
+                                 std::unique_lock<std::mutex>& gutter_lock) {
+  Shard& shard = *shards_[s];
   std::vector<EdgeUpdate> batch;
-  {
-    std::lock_guard<std::mutex> lock(shard.gutter_mutex);
-    if (shard.gutter.empty()) return;
-    batch.swap(shard.gutter);
-    shard.gutter.reserve(static_cast<size_t>(options_.gutter_capacity));
-  }
-  std::lock_guard<std::mutex> lock(shard.apply_mutex);
-  ApplyBatch(shard, batch);
+  batch.swap(shard.gutter);
+  shard.gutter.reserve(static_cast<size_t>(options_.gutter_capacity));
+  std::shared_lock<WriterPreferringSharedMutex> gate(seal_gate_);
+  gutter_lock.unlock();
+  ApplyBatch(s, batch);
 }
 
-StatusOr<std::shared_ptr<StreamSnapshot>> StreamIngestor::SealMerged() {
-  // Freeze every shard sketch at once (ascending order; producers mid-flush
-  // block here, producers mid-admission do not).
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    locks.emplace_back(shard->apply_mutex);
+void StreamIngestor::ApplyBatch(size_t s,
+                                const std::vector<EdgeUpdate>& batch) {
+  // One endpoint's half of an update (UpdateRow's arguments).
+  struct Half {
+    VertexId row;
+    VertexId other;
+    int64_t delta;
+  };
+  // Counting sort of the 2·|batch| halves by stripe: stripe t's halves
+  // are halves[begin[t], begin[t + 1]).
+  const size_t num_stripes = stripes_.size();
+  std::vector<size_t> begin(num_stripes + 1, 0);
+  for (const EdgeUpdate& update : batch) {
+    ++begin[StripeOf(update.u) + 1];
+    ++begin[StripeOf(update.v) + 1];
   }
-  auto snapshot = std::make_shared<StreamSnapshot>();
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    snapshot->updates_applied += shard->applied;
+  for (size_t t = 0; t < num_stripes; ++t) begin[t + 1] += begin[t];
+  std::vector<Half> halves(2 * batch.size());
+  std::vector<size_t> next(begin.begin(), begin.end() - 1);
+  for (const EdgeUpdate& update : batch) {
+    const int64_t delta = update.is_delete ? -1 : 1;
+    halves[next[StripeOf(update.u)]++] = Half{update.u, update.v, delta};
+    halves[next[StripeOf(update.v)]++] = Half{update.v, update.u, delta};
   }
-  if (options_.k == 0) {
-    AgmConnectivitySketch merged(num_vertices_, options_.rounds,
-                                 options_.seed);
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      DCS_RETURN_IF_ERROR(merged.TryMergeFrom(*shard->sketch));
+  for (size_t i = 0; i < num_stripes; ++i) {
+    const size_t t = (s + i) % num_stripes;
+    if (begin[t] == begin[t + 1]) continue;
+    std::lock_guard<std::mutex> lock(stripes_[t].mutex);
+    for (size_t h = begin[t]; h < begin[t + 1]; ++h) {
+      const Half& half = halves[h];
+      if (sketch_.has_value()) {
+        sketch_->UpdateRow(half.row, half.other, half.delta);
+      } else {
+        ksketch_->UpdateRow(half.row, half.other, half.delta);
+      }
     }
-    // The merge is done; Boruvka extraction works on the private copy, so
-    // producers may resume flushing.
-    locks.clear();
-    snapshot->digest = merged.Digest();
-    snapshot->forest = merged.SpanningForest();
+  }
+  updates_applied_.fetch_add(static_cast<int64_t>(batch.size()));
+}
+
+void StreamIngestor::FlushShard(size_t s) {
+  std::unique_lock<std::mutex> lock(shards_[s]->gutter_mutex);
+  if (!shards_[s]->gutter.empty()) FlushLocked(s, lock);
+}
+
+std::shared_ptr<StreamSnapshot> StreamIngestor::Seal() {
+  auto snapshot = std::make_shared<StreamSnapshot>();
+  // The one copy of a seal: taken while no batch is mid-apply, so it holds
+  // whole updates only. Extraction then runs in place on it while
+  // producers resume.
+  const auto copy_sealed = [this, &snapshot](const auto& sketch) {
+    std::lock_guard<WriterPreferringSharedMutex> gate(seal_gate_);
+    snapshot->updates_applied = updates_applied_.load();
+    return sketch;
+  };
+  if (sketch_.has_value()) {
+    AgmConnectivitySketch sealed = copy_sealed(*sketch_);
+    if (seal_observer_) seal_observer_(sealed);
+    snapshot->digest = sealed.Digest();
+    snapshot->forest = std::move(sealed).SpanningForest();
     // A forest is acyclic, so components = n − |forest|.
     snapshot->components =
         num_vertices_ - static_cast<int>(snapshot->forest.size());
   } else {
-    AgmKConnectivitySketch merged(num_vertices_, options_.k, options_.rounds,
-                                  options_.seed);
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      DCS_RETURN_IF_ERROR(merged.TryMergeFrom(*shard->ksketch));
-    }
-    locks.clear();
-    snapshot->digest = merged.Digest();
-    snapshot->certificate = merged.Certificate();
-    snapshot->min_cut_up_to_k = merged.MinCutUpToK();
+    AgmKConnectivitySketch sealed = copy_sealed(*ksketch_);
+    snapshot->digest = sealed.Digest();
+    snapshot->certificate = std::move(sealed).Certificate();
+    snapshot->min_cut_up_to_k =
+        AgmKConnectivitySketch::CertificateMinCut(*snapshot->certificate);
     ForestOf(*snapshot->certificate, snapshot->forest, snapshot->components);
   }
   snapshot->connected = snapshot->components == 1;
@@ -245,9 +249,9 @@ StatusOr<std::shared_ptr<StreamSnapshot>> StreamIngestor::SealMerged() {
 StatusOr<int64_t> StreamIngestor::Barrier() {
   std::lock_guard<std::mutex> barrier_lock(barrier_mutex_);
   pool_.ParallelFor(num_shards(), [this](int64_t s) {
-    FlushShard(*shards_[static_cast<size_t>(s)]);
+    FlushShard(static_cast<size_t>(s));
   });
-  DCS_ASSIGN_OR_RETURN(std::shared_ptr<StreamSnapshot> snapshot, SealMerged());
+  std::shared_ptr<StreamSnapshot> snapshot = Seal();
   std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
   snapshot->epoch = snapshot_->epoch + 1;
   snapshot_ = std::move(snapshot);
@@ -258,8 +262,8 @@ StatusOr<int64_t> StreamIngestor::Shutdown() {
   // Order matters: the flag goes up first, then the final barrier's
   // FlushShard walks every gutter mutex. Any Push that was admitted under
   // a gutter mutex before the flush reached it is in that gutter (or
-  // already applied under the shard's apply mutex, which SealMerged also
-  // takes); any Push after sees draining_ and is rejected.
+  // mid-apply under the seal gate, which Seal waits out); any Push after
+  // sees draining_ and is rejected.
   draining_.store(true, std::memory_order_release);
   DCS_ASSIGN_OR_RETURN(const int64_t epoch, Barrier());
   pool_.Shutdown();

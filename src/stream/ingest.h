@@ -1,19 +1,28 @@
 // Concurrent streaming ingestion with snapshot-consistent queries.
 //
 // The AGM sketches (stream/agm_sketch.h) are linear, so edge updates from
-// many producers can be applied in any order — and edge-disjoint parts can
-// be sketched independently and merged. StreamIngestor turns that algebra
-// into a pipeline:
+// many producers can be applied in any order, and each endpoint's half of
+// an update touches only that vertex's rows. StreamIngestor turns that
+// algebra into a pipeline around one sketch:
 //
 //  * producers Push() inserts/deletes from any number of threads;
-//  * each update is admitted into a fixed-capacity per-shard *gutter*
-//    (shard = min(u, v) % num_shards, so shards are edge-disjoint), and a
-//    full gutter is flushed by the producer that filled it into the shard's
-//    incrementally maintained sketch;
-//  * Barrier() drains every gutter over the ThreadPool, merges the shard
-//    sketches (TryMergeFrom — a mismatch surfaces as a Status, never an
-//    abort), and seals an immutable StreamSnapshot under a monotonically
-//    increasing epoch number;
+//  * each update is admitted into one of num_shards fixed-capacity
+//    *gutters* (admission shard = min(u, v) % num_shards, so shards are
+//    edge-disjoint and each keeps the delete ledger of its edges), and a
+//    full gutter is flushed by the producer that filled it;
+//  * the sketch's vertex rows are split into num_shards contiguous
+//    *stripes*, each with its own mutex. A flush splits every update of
+//    its batch into two endpoint halves (+e into row lo, −e into row hi;
+//    AgmConnectivitySketch::UpdateRow), sorts the halves by stripe, and
+//    applies each stripe's halves under that stripe's mutex, starting at
+//    the stripe numbered like its shard so concurrent flushes work on
+//    different stripes;
+//  * Barrier() drains every gutter over the ThreadPool, copies the sketch
+//    once behind a *seal gate* that every in-flight batch apply holds
+//    shared (so a seal never sees half of an edge; the gate prefers the
+//    seal, so flushes cannot starve it), and extracts an immutable
+//    StreamSnapshot from that copy under a monotonically increasing epoch
+//    number. A seal does no merge;
 //  * queries run against the last sealed snapshot while ingestion
 //    continues (snapshot-at-batch-boundary consistency): snapshot() hands
 //    out a shared_ptr to frozen state, and EpochCutOracle() adapts it to
@@ -21,28 +30,31 @@
 //
 // Because every sketch transition is a commutative addition, the final
 // sketch — and therefore every snapshot digest — is bit-identical for any
-// producer count, thread count, gutter size, and flush interleaving. Tests
-// and bench_stream assert exactly that.
+// producer count, thread count, shard count, gutter size, and flush
+// interleaving. Tests and bench_stream assert exactly that.
 //
 // Admission is also where deletions are validated: each shard tracks the
 // live multiplicity of its edges (buffered updates included), and a delete
 // of an edge that was never inserted is rejected with kFailedPrecondition
-// *before* it can reach a sketch. (A raw RemoveEdge of a never-inserted
+// *before* it can reach the sketch. (A raw RemoveEdge of a never-inserted
 // edge silently corrupts the linear measurements — see
 // stream_test.cc RemoveNeverInsertedEdgeCorruptsRawSketch.)
 //
-// Lock order: gutter_mutex before apply_mutex within a shard; the barrier
-// takes apply mutexes in ascending shard order. No thread ever holds two
-// gutter mutexes.
+// Lock order: gutter mutex → seal gate → stripe mutex. A flush takes the
+// gate (shared) before it releases its gutter and holds at most one
+// stripe mutex at a time; a seal takes only the gate (exclusive). No
+// thread ever holds two gutter mutexes.
 
 #ifndef DCS_STREAM_INGEST_H_
 #define DCS_STREAM_INGEST_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -52,25 +64,28 @@
 #include "stream/binary_stream.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
+#include "util/writer_preferring_mutex.h"
 
 namespace dcs {
 
 struct StreamIngestorOptions {
-  // Edge-disjoint sketch shards (>= 1). More shards reduce producer
-  // contention; the sealed result is bit-identical regardless.
+  // Edge-disjoint admission shards (gutters and delete ledgers) and, as
+  // many, contiguous row stripes of the one sketch (>= 1; stripes beyond
+  // the vertex count stay empty). More shards reduce producer contention;
+  // the sealed result is bit-identical regardless.
   int num_shards = 4;
   // Updates buffered per shard before the admitting producer flushes the
-  // gutter into the shard sketch (>= 1).
+  // gutter into the sketch (>= 1).
   int gutter_capacity = 256;
   // Threads used by Barrier() to drain gutters (>= 1).
   int num_threads = 1;
   // Boruvka rounds per connectivity sketch; 0 = the sketch default.
   int rounds = 0;
-  // k > 0 maintains AgmKConnectivitySketch shards (sparse cut certificate,
-  // min-cut-up-to-k, EpochCutOracle); k == 0 maintains plain
-  // AgmConnectivitySketch shards (connectivity/forest only).
+  // k > 0 maintains an AgmKConnectivitySketch (sparse cut certificate,
+  // min-cut-up-to-k, EpochCutOracle); k == 0 maintains a plain
+  // AgmConnectivitySketch (connectivity/forest only).
   int k = 0;
-  // Sketch seed; all shards share it (required for merging).
+  // Sketch seed.
   uint64_t seed = 1;
 };
 
@@ -82,7 +97,7 @@ struct StreamSnapshot {
   int64_t epoch = 0;
   // Updates included in this snapshot.
   int64_t updates_applied = 0;
-  // Digest of the merged sketch (AgmConnectivitySketch::Digest /
+  // Digest of the sealed sketch (AgmConnectivitySketch::Digest /
   // AgmKConnectivitySketch::Digest): the bit-identity witness.
   uint64_t digest = 0;
 
@@ -118,8 +133,8 @@ class StreamIngestor {
   Status PushInsert(VertexId u, VertexId v);
   Status PushDelete(VertexId u, VertexId v);
 
-  // Drains all gutters (ThreadPool-parallel), merges the shard sketches,
-  // and seals a new snapshot. Returns the new epoch number. Updates pushed
+  // Drains all gutters (ThreadPool-parallel), copies the sketch, and seals
+  // a new snapshot from the copy. Returns the new epoch number. Updates pushed
   // concurrently with a Barrier land in either this epoch or the next
   // (snapshot-at-batch-boundary consistency); updates admitted before
   // Barrier() is called are always included. Thread-safe; concurrent
@@ -156,6 +171,14 @@ class StreamIngestor {
   // Requires options.k > 0 (no certificate is maintained otherwise).
   CutOracle EpochCutOracle() const;
 
+  // Test hook: with k == 0, every seal (the construction-time one
+  // included) passes its private sketch copy to `observer` before
+  // extracting the snapshot from it. Set before any concurrent use.
+  void SetSealObserverForTesting(
+      std::function<void(const AgmConnectivitySketch&)> observer) {
+    seal_observer_ = std::move(observer);
+  }
+
  private:
   // Live multiplicity per edge: an open-addressed table keyed by the packed
   // edge (lo << 32) | hi, never 0 because hi ≥ 1, so key 0 marks an empty
@@ -186,40 +209,61 @@ class StreamIngestor {
     size_t live_ = 0;
   };
 
+  // Admission state. gutter_mutex also guards `live`: per-edge live
+  // multiplicity counting every admitted update (buffered or applied),
+  // the ledger that rejects negative-going deletes. It holds only edges
+  // with a nonzero count.
   struct Shard {
-    // Admission state. gutter_mutex also guards `live`: per-edge live
-    // multiplicity counting every admitted update (buffered or applied),
-    // the ledger that rejects negative-going deletes. It holds only edges
-    // with a nonzero count.
     std::mutex gutter_mutex;
     std::vector<EdgeUpdate> gutter;
     EdgeLedger live;
-
-    // Application state: exactly one sketch is engaged (by options.k).
-    // Applying an update adds into one exact-level bucket per endpoint row
-    // and round (agm_sketch.h).
-    std::mutex apply_mutex;
-    std::optional<AgmConnectivitySketch> sketch;
-    std::optional<AgmKConnectivitySketch> ksketch;
-    int64_t applied = 0;  // updates applied to the sketch
   };
 
-  // Applies a drained batch to the shard sketch (caller holds apply_mutex).
-  void ApplyBatch(Shard& shard, const std::vector<EdgeUpdate>& batch);
+  // A row stripe's mutex: it guards the sketch rows of the stripe's
+  // vertices (every round, every layer). One per cache line.
+  struct alignas(64) Stripe {
+    std::mutex mutex;
+  };
 
-  // Swaps the gutter out and applies it (takes both shard mutexes in
-  // order).
-  void FlushShard(Shard& shard);
+  // The stripe holding vertex v's rows.
+  size_t StripeOf(VertexId v) const {
+    return static_cast<size_t>(v / stripe_rows_);
+  }
 
-  // Merges the shard sketches under all apply mutexes into a snapshot with
-  // everything but the epoch number filled in. TryMergeFrom failures (never
-  // expected from the ingestor's own same-seed shards) propagate as a
-  // Status.
-  StatusOr<std::shared_ptr<StreamSnapshot>> SealMerged();
+  // Swaps shard `s`'s gutter out and applies it. Entered with the gutter
+  // locked; takes the seal gate shared before releasing the gutter, so a
+  // seal cannot fall between the swap and the apply.
+  void FlushLocked(size_t s, std::unique_lock<std::mutex>& gutter_lock);
+
+  // Applies a drained batch of shard `s` to the sketch, stripe by stripe
+  // from stripe s on. The caller holds the seal gate shared.
+  void ApplyBatch(size_t s, const std::vector<EdgeUpdate>& batch);
+
+  // Drains shard `s`'s gutter into the sketch.
+  void FlushShard(size_t s);
+
+  // Copies the sketch under the exclusive seal gate and extracts a
+  // snapshot (everything but the epoch number) from the copy.
+  std::shared_ptr<StreamSnapshot> Seal();
 
   int num_vertices_;
   StreamIngestorOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Vertex v's rows are in stripe v / stripe_rows_ = ⌈n / num_shards⌉.
+  int stripe_rows_ = 1;
+  std::vector<Stripe> stripes_;
+  // Held shared by every batch apply and exclusively by a seal's copy.
+  // Writer-preferring: a waiting seal holds off new applies, so a steady
+  // stream of flushes cannot starve it.
+  WriterPreferringSharedMutex seal_gate_;
+  // The one sketch: exactly one is engaged (by options.k). Applying an
+  // update half adds into one exact-level bucket of its row per round
+  // (agm_sketch.h).
+  std::optional<AgmConnectivitySketch> sketch_;
+  std::optional<AgmKConnectivitySketch> ksketch_;
+  // Updates whose two halves are both in the sketch.
+  std::atomic<int64_t> updates_applied_{0};
+  std::function<void(const AgmConnectivitySketch&)> seal_observer_;
   ThreadPool pool_;
   std::atomic<int64_t> updates_accepted_{0};
   // Set (before the final flush) by Shutdown; re-checked inside each

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -30,18 +31,22 @@ std::vector<EdgeUpdate> Workload(int n, int64_t count, uint64_t seed) {
   return RandomUpdateStream(n, count, 0.25, rng);
 }
 
-// Serial ground truth for a workload (k == 0 sketches).
+// Serial ground truth for a workload: the digest of an AGM sketch (k == 0)
+// or a k-connectivity sketch fed every update by AddEdge/RemoveEdge.
 uint64_t SerialDigest(int n, int rounds, uint64_t seed,
-                      const std::vector<EdgeUpdate>& updates) {
-  AgmConnectivitySketch sketch(n, rounds, seed);
-  for (const EdgeUpdate& update : updates) {
-    if (update.is_delete) {
-      sketch.RemoveEdge(update.u, update.v);
-    } else {
-      sketch.AddEdge(update.u, update.v);
+                      const std::vector<EdgeUpdate>& updates, int k = 0) {
+  const auto replay = [&updates](auto sketch) {
+    for (const EdgeUpdate& update : updates) {
+      if (update.is_delete) {
+        sketch.RemoveEdge(update.u, update.v);
+      } else {
+        sketch.AddEdge(update.u, update.v);
+      }
     }
-  }
-  return sketch.Digest();
+    return sketch.Digest();
+  };
+  if (k == 0) return replay(AgmConnectivitySketch(n, rounds, seed));
+  return replay(AgmKConnectivitySketch(n, k, rounds, seed));
 }
 
 TEST(StreamIngestorTest, SingleShardMatchesDirectSketch) {
@@ -63,23 +68,31 @@ TEST(StreamIngestorTest, SingleShardMatchesDirectSketch) {
 }
 
 TEST(StreamIngestorTest, BitIdenticalAcrossShardAndGutterConfigs) {
+  // Shard counts that divide n (8), do not divide it (3, 7: a short last
+  // row stripe), and exceed it (64: stripes 40..63 are empty), for both
+  // sketch kinds.
   const int n = 40;
   const std::vector<EdgeUpdate> updates = Workload(n, 800, 7);
-  const uint64_t reference = SerialDigest(n, 5, 9, updates);
-  for (const int shards : {1, 3, 8}) {
-    for (const int gutter : {1, 16, 4096}) {
-      StreamIngestorOptions options;
-      options.num_shards = shards;
-      options.gutter_capacity = gutter;
-      options.rounds = 5;
-      options.seed = 9;
-      StreamIngestor ingestor(n, options);
-      for (const EdgeUpdate& update : updates) {
-        ASSERT_TRUE(ingestor.Push(update).ok());
+  for (const int k : {0, 2}) {
+    const uint64_t reference = SerialDigest(n, 5, 9, updates, k);
+    for (const int shards : {1, 3, 7, 8, 64}) {
+      for (const int gutter : {1, 16, 4096}) {
+        StreamIngestorOptions options;
+        options.num_shards = shards;
+        options.gutter_capacity = gutter;
+        options.rounds = 5;
+        options.k = k;
+        options.seed = 9;
+        StreamIngestor ingestor(n, options);
+        for (const EdgeUpdate& update : updates) {
+          ASSERT_TRUE(ingestor.Push(update).ok());
+        }
+        ASSERT_TRUE(ingestor.Barrier().ok());
+        EXPECT_EQ(ingestor.snapshot()->digest, reference)
+            << "k=" << k << " shards=" << shards << " gutter=" << gutter;
+        EXPECT_EQ(ingestor.snapshot()->updates_applied,
+                  static_cast<int64_t>(updates.size()));
       }
-      ASSERT_TRUE(ingestor.Barrier().ok());
-      EXPECT_EQ(ingestor.snapshot()->digest, reference)
-          << "shards=" << shards << " gutter=" << gutter;
     }
   }
 }
@@ -120,6 +133,93 @@ TEST(StreamIngestorTest, BitIdenticalAcrossInserterCounts) {
     EXPECT_EQ(ingestor.snapshot()->digest, reference)
         << "inserters=" << inserters;
   }
+}
+
+TEST(StreamIngestorTest, ConcurrentSealsSeeWholeEdgesAndKeepPace) {
+  // Four producers cycle through their own admissible streams while a
+  // seal thread loops Barrier(). Every sealed sketch copy must hold whole
+  // edges only (a seal taken mid-batch would hold one endpoint's half of
+  // some update, and its round sums would not vanish), and the seal loop
+  // must keep pace: producers stop once kSeals seals are done, and a
+  // flush stream that starved the seal gate would run into the deadline.
+  constexpr int kProducers = 4;
+  constexpr int kVertices = 48;
+  constexpr int kRounds = 4;
+  constexpr int kSeals = 24;
+  constexpr uint64_t kSeed = 61;
+  std::vector<std::vector<EdgeUpdate>> streams;
+  for (int p = 0; p < kProducers; ++p) {
+    streams.push_back(Workload(kVertices, 2000, SubtaskSeed(kSeed, p)));
+  }
+  StreamIngestorOptions options;
+  options.num_shards = 4;
+  options.gutter_capacity = 8;
+  options.num_threads = 2;
+  options.rounds = kRounds;
+  options.seed = kSeed;
+  StreamIngestor ingestor(kVertices, options);
+  std::atomic<int> seals{0};
+  std::atomic<int> torn{0};
+  ingestor.SetSealObserverForTesting(
+      [&seals, &torn](const AgmConnectivitySketch& sealed) {
+        if (!sealed.RoundSumsAreZero()) torn.fetch_add(1);
+        seals.fetch_add(1);
+      });
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::atomic<bool> stop{false};
+  std::atomic<int> running{0};
+  std::vector<int64_t> pushed(kProducers, 0);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      const std::vector<EdgeUpdate>& stream = streams[static_cast<size_t>(p)];
+      int64_t& count = pushed[static_cast<size_t>(p)];
+      // Replaying a prefix-admissible stream keeps it admissible: every
+      // delete still follows this producer's own insert of that edge.
+      while (!stop.load(std::memory_order_acquire)) {
+        const Status status =
+            ingestor.Push(stream[static_cast<size_t>(count) % stream.size()]);
+        DCS_CHECK(status.ok());
+        if (++count == options.gutter_capacity) running.fetch_add(1);
+      }
+    });
+  }
+  // Seals count from the moment every producer has flushed once.
+  while (running.load() < kProducers) std::this_thread::yield();
+  const int initial_seals = seals.load();
+  bool kept_pace = false;
+  int64_t last_epoch = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    const StatusOr<int64_t> epoch = ingestor.Barrier();
+    ASSERT_TRUE(epoch.ok());
+    EXPECT_GT(*epoch, last_epoch);
+    last_epoch = *epoch;
+    if (seals.load() - initial_seals >= kSeals) {
+      kept_pace = true;
+      break;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& producer : producers) producer.join();
+  EXPECT_TRUE(kept_pace) << "only " << seals.load() - initial_seals
+                         << " seals completed while producers ran";
+  EXPECT_EQ(torn.load(), 0) << "seals that held half of an update";
+
+  // The final seal holds exactly every pushed update.
+  std::vector<EdgeUpdate> all;
+  for (int p = 0; p < kProducers; ++p) {
+    const std::vector<EdgeUpdate>& stream = streams[static_cast<size_t>(p)];
+    for (int64_t i = 0; i < pushed[static_cast<size_t>(p)]; ++i) {
+      all.push_back(stream[static_cast<size_t>(i) % stream.size()]);
+    }
+  }
+  ASSERT_TRUE(ingestor.Barrier().ok());
+  EXPECT_EQ(ingestor.snapshot()->updates_applied,
+            static_cast<int64_t>(all.size()));
+  EXPECT_EQ(ingestor.snapshot()->digest,
+            SerialDigest(kVertices, kRounds, kSeed, all));
 }
 
 TEST(StreamIngestorTest, RejectsInvalidEndpoints) {

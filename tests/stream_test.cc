@@ -708,6 +708,121 @@ TEST(AgmKConnectivityTest, ShardedMergeUnderDeletionMatchesSerial) {
   EXPECT_DOUBLE_EQ(shard_a.MinCutUpToK(), serial.MinCutUpToK());
 }
 
+// --- Row-restricted updates: the two halves of an update, applied in
+// any order and interleaved with other halves, are that update. ---
+
+TEST(AgmSketchRowUpdateTest, HalvesEqualWholeUpdates) {
+  Rng rng(37);
+  const int n = 60;
+  const std::vector<EdgeUpdate> stream = RandomUpdateStream(n, 3000, 0.3, rng);
+  AgmConnectivitySketch whole(n, 5, 41);
+  AgmConnectivitySketch halves(n, 5, 41);
+  AgmKConnectivitySketch kwhole(n, 2, 5, 41);
+  AgmKConnectivitySketch khalves(n, 2, 5, 41);
+  for (const EdgeUpdate& update : stream) {
+    if (update.is_delete) {
+      whole.RemoveEdge(update.u, update.v);
+      kwhole.RemoveEdge(update.u, update.v);
+    } else {
+      whole.AddEdge(update.u, update.v);
+      kwhole.AddEdge(update.u, update.v);
+    }
+  }
+  // Every higher-endpoint half first, then every lower-endpoint half in
+  // reverse: the sum is the same.
+  for (const EdgeUpdate& update : stream) {
+    const int64_t delta = update.is_delete ? -1 : 1;
+    halves.UpdateRow(std::max(update.u, update.v),
+                     std::min(update.u, update.v), delta);
+    khalves.UpdateRow(std::max(update.u, update.v),
+                      std::min(update.u, update.v), delta);
+  }
+  for (size_t i = stream.size(); i-- > 0;) {
+    const EdgeUpdate& update = stream[i];
+    const int64_t delta = update.is_delete ? -1 : 1;
+    halves.UpdateRow(std::min(update.u, update.v),
+                     std::max(update.u, update.v), delta);
+    khalves.UpdateRow(std::min(update.u, update.v),
+                      std::max(update.u, update.v), delta);
+  }
+  EXPECT_EQ(halves.Digest(), whole.Digest());
+  EXPECT_EQ(khalves.Digest(), kwhole.Digest());
+}
+
+TEST(AgmSketchRowUpdateTest, RoundSumsExposeALoneHalf) {
+  AgmConnectivitySketch sketch(16, 4, 43);
+  EXPECT_TRUE(sketch.RoundSumsAreZero());
+  sketch.AddEdge(3, 9);
+  sketch.AddEdge(9, 12);
+  sketch.RemoveEdge(3, 9);
+  EXPECT_TRUE(sketch.RoundSumsAreZero());
+  sketch.UpdateRow(5, 2, 1);
+  EXPECT_FALSE(sketch.RoundSumsAreZero());
+  sketch.UpdateRow(2, 5, 1);
+  EXPECT_TRUE(sketch.RoundSumsAreZero());
+}
+
+// FNV-1a over an edge list's endpoints, in order.
+uint64_t EdgeListHash(const std::vector<Edge>& edges) {
+  uint64_t hash = 14695981039346656037ULL;
+  for (const Edge& e : edges) {
+    hash = (hash ^ static_cast<uint64_t>(e.src)) * 1099511628211ULL;
+    hash = (hash ^ static_cast<uint64_t>(e.dst)) * 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(AgmSketchExtractionTest, GoldenForestsOfSeededStreams) {
+  // Forests and k = 3 certificates of the GoldenDigestsOfSeededStreams
+  // streams, as extracted when every extraction copied the sketch. The
+  // rvalue overloads extract in place and must give the same edges in the
+  // same order.
+  struct Golden {
+    uint64_t seed;
+    uint64_t forest;
+    uint64_t certificate;
+  };
+  const Golden goldens[] = {
+      {1, 0x6966eab146f14acfULL, 0x0a5ff4c43118c05fULL},
+      {7, 0xecef2524e660fec0ULL, 0xa592bae4392f4de3ULL},
+      {42, 0x93468279c1ace92cULL, 0x35c424718141f52fULL},
+  };
+  for (const Golden& golden : goldens) {
+    Rng rng(golden.seed);
+    const std::vector<EdgeUpdate> stream =
+        RandomUpdateStream(200, 20000, 0.3, rng);
+    AgmConnectivitySketch sketch(200, 0, golden.seed);
+    AgmKConnectivitySketch ksketch(200, 3, 0, golden.seed);
+    for (const EdgeUpdate& update : stream) {
+      if (update.is_delete) {
+        sketch.RemoveEdge(update.u, update.v);
+        ksketch.RemoveEdge(update.u, update.v);
+      } else {
+        sketch.AddEdge(update.u, update.v);
+        ksketch.AddEdge(update.u, update.v);
+      }
+    }
+    const uint64_t digest = sketch.Digest();
+    const uint64_t kdigest = ksketch.Digest();
+    EXPECT_EQ(EdgeListHash(sketch.SpanningForest()), golden.forest)
+        << "seed " << golden.seed;
+    const UndirectedGraph certificate = ksketch.Certificate();
+    EXPECT_EQ(EdgeListHash(certificate.edges()), golden.certificate)
+        << "seed " << golden.seed;
+    // The const overloads leave the sketches intact.
+    EXPECT_EQ(sketch.Digest(), digest);
+    EXPECT_EQ(ksketch.Digest(), kdigest);
+    EXPECT_EQ(AgmKConnectivitySketch::CertificateMinCut(certificate),
+              ksketch.MinCutUpToK());
+    EXPECT_EQ(EdgeListHash(std::move(sketch).SpanningForest()),
+              golden.forest)
+        << "seed " << golden.seed;
+    EXPECT_EQ(EdgeListHash(std::move(ksketch).Certificate().edges()),
+              golden.certificate)
+        << "seed " << golden.seed;
+  }
+}
+
 // --- Regression: RemoveEdge of a never-inserted edge silently corrupts
 // the raw sketch. The sketch is linear, so nothing aborts — the vector
 // coordinate just goes negative and every query downstream is answered

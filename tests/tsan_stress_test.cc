@@ -336,9 +336,10 @@ void StressStreamIngest() {
   // (each producer's deletes target only its own inserts, so any
   // interleaving is admissible), racing a thread that repeatedly seals
   // epochs with Barrier() and queries the sealed snapshots. TSan watches
-  // the gutter admission/flush hand-off, the apply-mutex serialization,
-  // and the snapshot swap; the final digest must equal the serial
-  // reference regardless of every interleaving TSan provokes.
+  // the gutter admission/flush hand-off, the row-stripe applies under the
+  // seal gate, the seal's copy, and the snapshot swap; every sealed copy
+  // must hold whole edges only, and the final digest must equal the
+  // serial reference regardless of every interleaving TSan provokes.
   constexpr int kProducers = 4;
   constexpr int kVertices = 48;
   constexpr int kRounds = 4;
@@ -366,6 +367,11 @@ void StressStreamIngest() {
   options.rounds = kRounds;
   options.seed = kSeed;
   StreamIngestor ingestor(kVertices, options);
+  std::atomic<int> torn_seals{0};
+  ingestor.SetSealObserverForTesting(
+      [&torn_seals](const AgmConnectivitySketch& sealed) {
+        if (!sealed.RoundSumsAreZero()) torn_seals.fetch_add(1);
+      });
 
   std::atomic<bool> done{false};
   std::atomic<int> push_failures{0};
@@ -402,6 +408,8 @@ void StressStreamIngest() {
 
   Require(push_failures.load() == 0,
           "stream ingest stress: all balanced pushes admitted");
+  Require(torn_seals.load() == 0,
+          "stream ingest stress: every sealed copy holds whole edges");
   const auto final_epoch = ingestor.Barrier();
   Require(final_epoch.ok(), "stream ingest stress: final barrier");
   Require(ingestor.snapshot()->digest == reference.Digest(),
