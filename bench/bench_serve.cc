@@ -13,15 +13,11 @@
 // Results are printed as tables and written to BENCH_serve.json (override
 // with --out FILE). --threads N caps the thread sweep.
 
-#include <stdlib.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "graph/generators.h"
@@ -29,7 +25,6 @@
 #include "lowerbound/foreach_encoding.h"
 #include "serve/cut_query_service.h"
 #include "serve/decoder_batch.h"
-#include "serve/load_driver.h"
 #include "table.h"
 #include "util/random.h"
 
@@ -277,83 +272,10 @@ ScalingResult SectionThreadScaling(int max_threads) {
   return result;
 }
 
-struct ClusterRecord {
-  double kill_rate = 0;
-  bool ran = false;
-  std::string error;
-  ClusterLoadReport report;
-};
-
-std::vector<ClusterRecord> SectionClusterChaos() {
-  PrintBanner("SERVE/D",
-              "Multi-process cluster soak: 4 workers, R=2 replication, "
-              "SIGKILL chaos, bit-identity gated");
-  PrintRow({"kill%", "ok", "unavail", "exhaust", "kills", "respawn",
-            "p50(us)", "p99(us)", "qps", "identical"});
-  PrintRule(10);
-  std::vector<ClusterRecord> records;
-  for (const double kill_rate : {0.0, 0.05, 0.2}) {
-    ClusterRecord record;
-    record.kill_rate = kill_rate;
-    char dir_template[] = "/tmp/dcs_bench_cluster_XXXXXX";
-    char* socket_dir = ::mkdtemp(dir_template);
-    if (socket_dir == nullptr) {
-      record.error = "mkdtemp failed";
-      records.push_back(std::move(record));
-      continue;
-    }
-    ClusterLoadOptions options;
-    options.server_binary = DCS_SERVER_PATH;
-    options.socket_dir = socket_dir;
-    options.num_workers = 4;
-    options.replication = 2;
-    options.num_client_threads = 2;
-    // Enough batches that the run spans many kill ticks: at the observed
-    // per-batch round trip this is a few hundred milliseconds of load, so
-    // a 5 ms Bernoulli tick at 20% actually lands kills mid-traffic.
-    options.batches_per_thread = 400;
-    options.batch_size = 8;
-    options.kill_rate = kill_rate;
-    options.kill_interval_ms = 5;
-    options.respawn_delay_ms = 5;
-    options.num_vertices = 48;
-    options.num_edges = 320;
-    options.seed = 4242;
-    const auto report = RunClusterLoad(options);
-    for (int w = 0; w < options.num_workers; ++w) {
-      ::unlink((options.socket_dir + "/worker" + std::to_string(w) + ".sock")
-                   .c_str());
-    }
-    ::rmdir(socket_dir);
-    if (!report.ok()) {
-      record.error = report.status().ToString();
-      std::printf("kill_rate %.2f: soak failed to run: %s\n", kill_rate,
-                  record.error.c_str());
-      records.push_back(std::move(record));
-      continue;
-    }
-    record.ran = true;
-    record.report = *report;
-    PrintRow({F(kill_rate * 100, 0), I(report->batches_ok),
-              I(report->batches_unavailable),
-              I(report->batches_resource_exhausted), I(report->kills),
-              I(report->respawns), I(report->latency_p50_us),
-              I(report->latency_p99_us), F(report->qps, 0),
-              report->answers_bit_identical() ? "yes" : "NO"});
-    records.push_back(std::move(record));
-  }
-  std::printf(
-      "(every completed answer is compared bit-for-bit against a\n"
-      " single-process oracle; kills surface only as kUnavailable and\n"
-      " backpressure only as kResourceExhausted)\n");
-  return records;
-}
-
 void WriteJson(const std::string& path,
                const std::vector<CacheRecord>& cache_records,
                const DecodeRecord& decode_record,
-               const ScalingResult& scaling,
-               const std::vector<ClusterRecord>& cluster_records) {
+               const ScalingResult& scaling) {
   JsonValue root = JsonValue::MakeObject();
   JsonValue cache_json = JsonValue::MakeArray();
   for (const CacheRecord& r : cache_records) {
@@ -393,32 +315,6 @@ void WriteJson(const std::string& path,
   }
   scaling_json.Set("sweep", std::move(sweep));
   root.Set("thread_scaling", std::move(scaling_json));
-  JsonValue cluster_json = JsonValue::MakeArray();
-  for (const ClusterRecord& r : cluster_records) {
-    JsonValue entry = JsonValue::MakeObject();
-    entry.Set("kill_rate", r.kill_rate);
-    entry.Set("ran", r.ran);
-    if (!r.ran) {
-      entry.Set("error", r.error);
-      entry.Set("answers_bit_identical", false);
-      cluster_json.Append(std::move(entry));
-      continue;
-    }
-    entry.Set("batches_ok", r.report.batches_ok);
-    entry.Set("batches_unavailable", r.report.batches_unavailable);
-    entry.Set("batches_resource_exhausted",
-              r.report.batches_resource_exhausted);
-    entry.Set("batches_other_error", r.report.batches_other_error);
-    entry.Set("wrong_bits", r.report.wrong_bits);
-    entry.Set("answers_bit_identical", r.report.answers_bit_identical());
-    entry.Set("kills", r.report.kills);
-    entry.Set("respawns", r.report.respawns);
-    entry.Set("p50_us", r.report.latency_p50_us);
-    entry.Set("p99_us", r.report.latency_p99_us);
-    entry.Set("qps", r.report.qps);
-    cluster_json.Append(std::move(entry));
-  }
-  root.Set("cluster", std::move(cluster_json));
   bench::WriteBenchJson(path, std::move(root));
 }
 
@@ -438,8 +334,6 @@ int main(int argc, char** argv) {
   const auto cache_records = dcs::SectionWarmVsCold();
   const auto decode_record = dcs::SectionForEachDecode();
   const auto scaling = dcs::SectionThreadScaling(threads);
-  const auto cluster_records = dcs::SectionClusterChaos();
-  dcs::WriteJson(out_path, cache_records, decode_record, scaling,
-                 cluster_records);
+  dcs::WriteJson(out_path, cache_records, decode_record, scaling);
   return 0;
 }

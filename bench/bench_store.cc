@@ -1,38 +1,23 @@
-// Experiment STORE — the disk-backed sketch store's restart tiers.
+// Experiment STORE — the disk-backed sketch store's segment I/O.
 //
-// Two sections:
-//   A: restart-to-full-QPS through real dcs_server worker processes. A
-//      populated worker is drained (SIGTERM seals its segment and dumps
-//      the hottest cache entries), then restarted two ways: cold (empty
-//      store directory — the client's Repair must re-send every graph)
-//      and warm (same store directory — boot warm-loads registrations
-//      and the cache snapshot, Repair reattaches by id + checksum with
-//      no graph bytes on the wire). Both restarts must answer every
-//      batch bit-identically to the pre-restart baseline.
-//   B: in-process segment I/O micro-timings — append+seal, reopen, read
-//      back, fsck — for the same object mix.
+// In-process segment I/O micro-timings — append+seal, reopen, read back,
+// fsck — for a fixed mix of 4K-edge graphs, with a round-trip identity
+// check. The drain → warm respawn → reattach path through real worker
+// processes is timed end to end by perfbench's register_restart workload
+// and checked bit for bit by transport_test.
 //
-// Results are printed as tables and written to BENCH_store.json
+// Results are printed as a table and written to BENCH_store.json
 // (override with --out FILE).
 
-#include <signal.h>
 #include <stdlib.h>
-#include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "graph/digraph.h"
 #include "json_writer.h"
-#include "serve/cluster.h"
-#include "serve/cluster_client.h"
-#include "serve/transport.h"
-#include "serve/worker_process.h"
 #include "sketch/serialization.h"
 #include "store/sketch_store.h"
 #include "table.h"
@@ -56,16 +41,9 @@ double MsSince(const std::chrono::steady_clock::time_point& start) {
 constexpr int kObjects = 12;
 constexpr int kVertices = 256;
 constexpr int kEdges = 4096;
-constexpr int kSidesPerObject = 64;
-constexpr int kTrialsPerMode = 2;
 
-struct Workload {
+std::vector<DirectedGraph> MakeGraphs() {
   std::vector<DirectedGraph> graphs;
-  std::vector<std::vector<VertexSet>> sides;  // one set per object
-};
-
-Workload MakeWorkload() {
-  Workload workload;
   for (int k = 0; k < kObjects; ++k) {
     Rng rng(1000 + static_cast<uint64_t>(k));
     DirectedGraph graph(kVertices);
@@ -78,207 +56,9 @@ Workload MakeWorkload() {
       if (v == u) v = (u + 1) % kVertices;
       graph.AddEdge(u, v, 0.25 + rng.UniformDouble());
     }
-    workload.graphs.push_back(std::move(graph));
-    std::vector<VertexSet> sides;
-    for (int s = 0; s < kSidesPerObject; ++s) {
-      VertexSet side(static_cast<size_t>(kVertices), 0);
-      for (auto& bit : side) bit = rng.Bernoulli(0.5) ? 1 : 0;
-      sides.push_back(std::move(side));
-    }
-    workload.sides.push_back(std::move(sides));
+    graphs.push_back(std::move(graph));
   }
-  return workload;
-}
-
-TransportOptions BenchTransport() {
-  TransportOptions transport;
-  transport.connect_timeout_ms = 500;
-  transport.io_timeout_ms = 5000;
-  transport.reconnect_base_ms = 1;
-  transport.reconnect_cap_ms = 4;
-  transport.max_connect_attempts = 3;
-  return transport;
-}
-
-struct RestartRecord {
-  std::string mode;  // "cold" | "warm"
-  int objects = kObjects;
-  double ms_ready = 0;        // spawn → first successful ping
-  double ms_repair = 0;       // HealthCheck + Repair
-  double ms_answers = 0;      // every object's batch answered
-  double ms_to_full_qps = 0;  // spawn → last answer verified
-  int64_t reattaches = 0;     // replicas revived without graph bytes
-  bool answers_bit_identical = false;
-};
-
-struct SectionAResult {
-  bool ran = false;
-  std::string error;
-  std::vector<RestartRecord> best;    // one per mode (min ms_to_full_qps)
-  std::vector<RestartRecord> trials;  // every trial, for the JSON
-};
-
-bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  return a.empty() ||
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-// Spawns a worker on `store_dir`, waits for ready, repairs the client's
-// replicas, answers every object's batch, and drains the worker. Returns
-// the timing breakdown; `baseline` is the pre-restart answers.
-StatusOr<RestartRecord> RunRestartTrial(
-    const std::string& mode, const std::string& store_dir,
-    const Endpoint& endpoint, ClusterClient& client,
-    const Workload& workload,
-    const std::vector<ClusterClient::ObjectHandle>& handles,
-    const std::vector<std::vector<double>>& baseline) {
-  ClusterWorkerOptions worker_options;
-  worker_options.store_dir = store_dir;
-  RestartRecord record;
-  record.mode = mode;
-  const int64_t reattached_before = client.reattached_replicas();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  DCS_ASSIGN_OR_RETURN(WorkerProcess worker,
-                       SpawnWorker(DCS_SERVER_PATH, endpoint, worker_options));
-  DCS_RETURN_IF_ERROR(WaitForWorkerReady(endpoint, 10000));
-  record.ms_ready = MsSince(t0);
-
-  const auto t1 = std::chrono::steady_clock::now();
-  DCS_RETURN_IF_ERROR(client.HealthCheck());
-  DCS_RETURN_IF_ERROR(client.Repair().status());
-  record.ms_repair = MsSince(t1);
-
-  const auto t2 = std::chrono::steady_clock::now();
-  record.answers_bit_identical = true;
-  for (int k = 0; k < kObjects; ++k) {
-    auto answers = client.AnswerBatch(handles[static_cast<size_t>(k)],
-                                      workload.sides[static_cast<size_t>(k)]);
-    if (!answers.ok()) {
-      (void)KillWorker(worker, SIGTERM);
-      (void)ReapWorker(worker, /*blocking=*/true);
-      return answers.status();
-    }
-    if (!BitIdentical(*answers, baseline[static_cast<size_t>(k)])) {
-      record.answers_bit_identical = false;
-    }
-  }
-  record.ms_answers = MsSince(t2);
-  record.ms_to_full_qps = MsSince(t0);
-  record.reattaches = client.reattached_replicas() - reattached_before;
-
-  DCS_RETURN_IF_ERROR(KillWorker(worker, SIGTERM));
-  DCS_RETURN_IF_ERROR(ReapWorker(worker, /*blocking=*/true));
-  return record;
-}
-
-SectionAResult SectionRestart(const Workload& workload) {
-  PrintBanner("STORE/A",
-              "Restart-to-full-QPS: cold (re-send every graph) vs warm "
-              "(store-backed reattach), bit-identity gated");
-  SectionAResult result;
-
-  char dir_template[] = "/tmp/dcs_bench_store_XXXXXX";
-  char* scratch = ::mkdtemp(dir_template);
-  if (scratch == nullptr) {
-    result.error = "mkdtemp failed";
-    return result;
-  }
-  const std::string scratch_dir = scratch;
-  const std::string warm_store = scratch_dir + "/store";
-  const std::string socket_path = scratch_dir + "/w.sock";
-  auto cleanup = [&scratch_dir] {
-    const std::string command = "rm -rf '" + scratch_dir + "'";
-    (void)std::system(command.c_str());
-  };
-
-  auto endpoint_or = ParseEndpoint("unix:" + socket_path);
-  if (!endpoint_or.ok()) {
-    result.error = endpoint_or.status().ToString();
-    cleanup();
-    return result;
-  }
-  const Endpoint endpoint = *endpoint_or;
-
-  // Baseline: populate the store and the cache, record every answer.
-  ClusterWorkerOptions worker_options;
-  worker_options.store_dir = warm_store;
-  auto spawned = SpawnWorker(DCS_SERVER_PATH, endpoint, worker_options);
-  if (!spawned.ok() || !WaitForWorkerReady(endpoint, 10000).ok()) {
-    result.error = spawned.ok() ? "baseline worker never became ready"
-                                : spawned.status().ToString();
-    cleanup();
-    return result;
-  }
-  ClusterClientOptions client_options;
-  client_options.replication = 1;
-  client_options.transport = BenchTransport();
-  ClusterClient client({endpoint}, client_options);
-  std::vector<ClusterClient::ObjectHandle> handles;
-  std::vector<std::vector<double>> baseline;
-  for (int k = 0; k < kObjects; ++k) {
-    auto handle =
-        client.RegisterReplicated(workload.graphs[static_cast<size_t>(k)]);
-    if (!handle.ok()) {
-      result.error = handle.status().ToString();
-      cleanup();
-      return result;
-    }
-    handles.push_back(*handle);
-    auto answers =
-        client.AnswerBatch(*handle, workload.sides[static_cast<size_t>(k)]);
-    if (!answers.ok()) {
-      result.error = answers.status().ToString();
-      cleanup();
-      return result;
-    }
-    baseline.push_back(*answers);
-  }
-  // Drain: seals the segment and snapshots the hottest cache entries.
-  if (!KillWorker(*spawned, SIGTERM).ok() ||
-      !ReapWorker(*spawned, /*blocking=*/true).ok()) {
-    result.error = "baseline drain failed";
-    cleanup();
-    return result;
-  }
-
-  PrintRow({"mode", "trial", "ready(ms)", "repair(ms)", "answers(ms)",
-            "total(ms)", "reattach", "identical"});
-  PrintRule(8);
-  for (const std::string mode : {"cold", "warm"}) {
-    RestartRecord best;
-    best.ms_to_full_qps = std::numeric_limits<double>::infinity();
-    for (int trial = 0; trial < kTrialsPerMode; ++trial) {
-      // Cold restarts get a fresh empty directory: the respawn is
-      // amnesiac and Repair must fall back to full re-registration.
-      const std::string store_dir =
-          mode == "cold"
-              ? scratch_dir + "/cold" + std::to_string(trial)
-              : warm_store;
-      auto record = RunRestartTrial(mode, store_dir, endpoint, client,
-                                    workload, handles, baseline);
-      if (!record.ok()) {
-        result.error = record.status().ToString();
-        cleanup();
-        return result;
-      }
-      PrintRow({mode, I(trial), F(record->ms_ready, 1),
-                F(record->ms_repair, 1), F(record->ms_answers, 1),
-                F(record->ms_to_full_qps, 1), I(record->reattaches),
-                record->answers_bit_identical ? "yes" : "NO"});
-      result.trials.push_back(*record);
-      if (record->ms_to_full_qps < best.ms_to_full_qps) best = *record;
-    }
-    result.best.push_back(best);
-  }
-  cleanup();
-  result.ran = true;
-  std::printf(
-      "(cold re-sends all %d graphs; warm boots from the sealed segment\n"
-      " and cache snapshot, then reattaches by id + graph checksum)\n",
-      kObjects);
-  return result;
+  return graphs;
 }
 
 struct SegmentIoRecord {
@@ -291,7 +71,7 @@ struct SegmentIoRecord {
   bool round_trip_identical = false;
 };
 
-SegmentIoRecord SectionSegmentIo(const Workload& workload) {
+SegmentIoRecord SectionSegmentIo(const std::vector<DirectedGraph>& graphs) {
   PrintBanner("STORE/B",
               "In-process segment I/O: append+seal, reopen, read back, "
               "fsck");
@@ -303,7 +83,7 @@ SegmentIoRecord SectionSegmentIo(const Workload& workload) {
 
   std::vector<std::vector<uint8_t>> payloads;
   std::vector<int64_t> bit_counts;
-  for (const DirectedGraph& graph : workload.graphs) {
+  for (const DirectedGraph& graph : graphs) {
     BitWriter writer;
     SerializeDirectedGraph(graph, writer);
     record.bytes += static_cast<int64_t>(writer.bytes().size());
@@ -361,46 +141,11 @@ SegmentIoRecord SectionSegmentIo(const Workload& workload) {
   return record;
 }
 
-void WriteJson(const std::string& path, const SectionAResult& restart,
-               const SegmentIoRecord& segment_io) {
+void WriteJson(const std::string& path, const SegmentIoRecord& segment_io) {
   JsonValue root = JsonValue::MakeObject();
   root.Set("objects", kObjects);
   root.Set("vertices", kVertices);
   root.Set("edges", kEdges);
-  root.Set("sides_per_object", kSidesPerObject);
-  JsonValue best = JsonValue::MakeArray();
-  bool all_identical = restart.ran;
-  double ms_cold = 0, ms_warm = 0;
-  for (const RestartRecord& r : restart.best) {
-    JsonValue entry = JsonValue::MakeObject();
-    entry.Set("mode", r.mode);
-    entry.Set("objects", r.objects);
-    entry.Set("ms_ready", r.ms_ready);
-    entry.Set("ms_repair", r.ms_repair);
-    entry.Set("ms_answers", r.ms_answers);
-    entry.Set("ms_to_full_qps", r.ms_to_full_qps);
-    entry.Set("reattaches", r.reattaches);
-    entry.Set("answers_bit_identical", r.answers_bit_identical);
-    best.Append(std::move(entry));
-    if (r.mode == "cold") ms_cold = r.ms_to_full_qps;
-    if (r.mode == "warm") ms_warm = r.ms_to_full_qps;
-  }
-  for (const RestartRecord& r : restart.trials) {
-    all_identical = all_identical && r.answers_bit_identical;
-  }
-  root.Set("restart", std::move(best));
-  if (!restart.ran) root.Set("error", restart.error);
-  root.Set("restored_answers_bit_identical", all_identical);
-  root.Set("warm_faster_than_cold",
-           restart.ran && ms_warm > 0 && ms_warm < ms_cold);
-  // Warm must also actually take the reattach path — a warm restart that
-  // silently re-sent every graph would still be "fast enough" locally
-  // but defeats the tier design.
-  bool warm_reattached = false;
-  for (const RestartRecord& r : restart.best) {
-    if (r.mode == "warm" && r.reattaches == kObjects) warm_reattached = true;
-  }
-  root.Set("warm_used_reattach", warm_reattached);
   JsonValue io = JsonValue::MakeObject();
   io.Set("objects", segment_io.objects);
   io.Set("bytes", segment_io.bytes);
@@ -418,13 +163,7 @@ void WriteJson(const std::string& path, const SectionAResult& restart,
 int main(int argc, char** argv) {
   const std::string out_path =
       dcs::bench::ConsumeOutFlag(&argc, argv, "BENCH_store.json");
-  const dcs::Workload workload = dcs::MakeWorkload();
-  const auto restart = dcs::SectionRestart(workload);
-  if (!restart.ran) {
-    std::fprintf(stderr, "restart section failed: %s\n",
-                 restart.error.c_str());
-  }
-  const auto segment_io = dcs::SectionSegmentIo(workload);
-  dcs::WriteJson(out_path, restart, segment_io);
-  return restart.ran ? 0 : 1;
+  const auto segment_io = dcs::SectionSegmentIo(dcs::MakeGraphs());
+  dcs::WriteJson(out_path, segment_io);
+  return 0;
 }

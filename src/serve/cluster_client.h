@@ -129,7 +129,7 @@ class ClusterClient {
   StatusOr<int64_t> Repair();
 
   // Replicas revived via the reattach fast path over this client's
-  // lifetime (observability for warm-restart tests and bench_store).
+  // lifetime (observability for warm-restart tests and perfbench).
   int64_t reattached_replicas() const { return reattached_replicas_; }
 
  private:

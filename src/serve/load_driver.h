@@ -5,9 +5,8 @@
 // and checks every completed answer bit-for-bit against a single-process
 // CutQueryService running the identical code path.
 //
-// Shared by the `dcs cluster` CLI subcommand (chaos gate: wrong_bits must
-// be 0) and bench_serve's cluster section (p50/p99/QPS at kill rates
-// 0/5/20% for BENCH_serve.json).
+// Drives the `dcs cluster` CLI subcommand, whose chaos gate
+// (scripts/run_chaos.sh) requires wrong_bits to be 0.
 //
 // The bit-identity invariant holds because registration is *replicated*:
 // each worker holds the whole graph, deserialization preserves edge order

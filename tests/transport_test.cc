@@ -638,72 +638,114 @@ TEST(ClusterWorkerTest, DrainSealsStoreSegments) {
 }
 
 TEST(ClusterClientTest, WarmRestartReattachesWithoutResendingGraphs) {
-  // The store-backed respawn path end to end: a worker that persisted its
-  // registrations is killed and a fresh incarnation warm-loads them; the
-  // client's Repair revives its replica via kReattach (no graph bytes on
-  // the wire) and answers stay bit-identical.
+  // The store's restart tiers against each other. A worker holding four
+  // 4K-edge graphs is drained, then restarted twice on one endpoint: warm
+  // (same store directory — boot loads the registrations and the cache
+  // snapshot before the listener opens, and Repair reattaches by id +
+  // checksum, so no graph bytes cross the wire) and cold (empty directory
+  // — Repair re-sends every graph). Both must re-serve every pre-restart
+  // answer bit for bit; warm must reattach every replica and cold none;
+  // and warm must reach its last answer sooner than cold in the same run.
+  constexpr int kObjects = 4;
+  constexpr int kVertices = 256;
+  constexpr int kEdges = 4096;
   char dir_template[] = "/tmp/dcs_warm_restart_XXXXXX";
   ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  const std::string spec = std::string("unix:") + dir_template + "/w.sock";
-  const std::string store_dir = std::string(dir_template) + "/store";
+  const std::string root = dir_template;
+  const std::string spec = "unix:" + root + "/w.sock";
+  const std::string warm_store = root + "/store";
 
   ClusterWorkerOptions worker_options;
-  worker_options.store_dir = store_dir;
-
-  const DirectedGraph graph = TestGraph(16, 60, 81);
-  const std::vector<VertexSet> sides = RandomSides(16, 5, 82);
-  CutQueryService reference;
-  const auto reference_id = reference.RegisterGraph(graph);
-  std::vector<CutQueryService::Query> reference_batch;
-  for (const VertexSet& side : sides) {
-    reference_batch.push_back(CutQueryService::Query{reference_id, side});
-  }
-  const std::vector<double> expected = reference.AnswerBatch(reference_batch);
-
+  worker_options.store_dir = warm_store;
   auto serving = std::make_unique<ServingWorker>();
   *serving = StartWorker(worker_options, spec);
-  const Endpoint endpoint = serving->worker->endpoint();
-  const uint64_t first_token = serving->worker->token();
 
   ClusterClientOptions options;
   options.replication = 1;
   options.transport = FastTransport();
-  ClusterClient client({endpoint}, options);
-  auto handle = client.RegisterReplicated(graph);
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  // Populate the worker's cache so the drain has something to snapshot.
-  ASSERT_TRUE(client.AnswerBatch(*handle, sides).ok());
-
-  // Drain-restart on the same store directory.
-  serving->Stop();
-  serving = std::make_unique<ServingWorker>();
-  *serving = StartWorker(worker_options, spec);
-  ASSERT_NE(serving->worker->token(), first_token);
-
-  // The respawn is NOT amnesiac: registrations and warm cache came back
-  // from disk before the listener opened.
-  EXPECT_EQ(serving->worker->num_registered(), 1);
-  EXPECT_EQ(serving->worker->warm_loaded_objects(), 1);
-  EXPECT_GT(serving->worker->cache_entries(), 0);
-
-  // The client still holds a stale token, so Repair runs — and must take
-  // the reattach fast path rather than re-sending the graph.
-  ASSERT_TRUE(client.HealthCheck().ok());
-  auto repaired = client.Repair();
-  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  EXPECT_EQ(*repaired, 1);
-  EXPECT_EQ(client.reattached_replicas(), 1);
-
-  auto answer = client.AnswerBatch(*handle, sides);
-  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-  ASSERT_EQ(answer->size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&(*answer)[i], &expected[i], sizeof(double)), 0)
-        << "query " << i;
+  ClusterClient client({serving->worker->endpoint()}, options);
+  std::vector<ClusterClient::ObjectHandle> handles;
+  std::vector<std::vector<VertexSet>> sides;
+  std::vector<std::vector<double>> before;
+  for (int k = 0; k < kObjects; ++k) {
+    const uint64_t seed = 300 + 2 * static_cast<uint64_t>(k);
+    auto handle =
+        client.RegisterReplicated(TestGraph(kVertices, kEdges, seed));
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(*handle);
+    sides.push_back(RandomSides(kVertices, 16, seed + 1));
+    // Also populates the worker's cache, so the drain has something to
+    // snapshot.
+    auto answers = client.AnswerBatch(*handle, sides.back());
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    before.push_back(*answers);
   }
 
+  // What one restart did: its milliseconds from the restart to the last
+  // answer, the replicas Repair revived by reattach, and what the new
+  // incarnation held at boot, before any request reached it.
+  struct Restart {
+    double ms = 0;
+    int64_t reattached = 0;
+    int64_t booted_objects = 0;
+    int64_t booted_cache_entries = 0;
+  };
+  // Drains the running worker, restarts it on `store_dir`, repairs every
+  // replica and re-serves every object's batch against `before`.
+  const auto restart = [&](const std::string& store_dir) {
+    const uint64_t old_token = serving->worker->token();
+    serving->Stop();
+    const int64_t reattached_before = client.reattached_replicas();
+    ClusterWorkerOptions restart_options;
+    restart_options.store_dir = store_dir;
+    Restart result;
+    const auto start = std::chrono::steady_clock::now();
+    *serving = StartWorker(restart_options, spec);
+    result.booted_objects = serving->worker->num_registered();
+    result.booted_cache_entries = serving->worker->cache_entries();
+    EXPECT_NE(serving->worker->token(), old_token);
+    // The client still holds the stale token, so Repair runs.
+    EXPECT_TRUE(client.HealthCheck().ok());
+    const auto repaired = client.Repair();
+    EXPECT_TRUE(repaired.ok()) << repaired.status().ToString();
+    if (repaired.ok()) {
+      EXPECT_EQ(*repaired, kObjects);
+    }
+    for (int k = 0; k < kObjects; ++k) {
+      const size_t index = static_cast<size_t>(k);
+      const auto answers = client.AnswerBatch(handles[index], sides[index]);
+      EXPECT_TRUE(answers.ok()) << answers.status().ToString();
+      if (!answers.ok()) continue;
+      EXPECT_EQ(answers->size(), before[index].size());
+      if (answers->size() != before[index].size()) continue;
+      EXPECT_EQ(std::memcmp(answers->data(), before[index].data(),
+                            answers->size() * sizeof(double)),
+                0)
+          << store_dir << " object " << k;
+    }
+    result.ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    result.reattached = client.reattached_replicas() - reattached_before;
+    return result;
+  };
+
+  // Warm runs first, so whatever the first restart pays for a cold page
+  // cache or allocator counts against warm, not cold.
+  const Restart warm = restart(warm_store);
+  const Restart cold = restart(root + "/cold");
+  // The warm respawn is not amnesiac: registrations and the drained cache
+  // came back from disk.
+  EXPECT_EQ(warm.booted_objects, kObjects);
+  EXPECT_GT(warm.booted_cache_entries, 0);
+  EXPECT_EQ(warm.reattached, kObjects);
+  EXPECT_EQ(cold.booted_objects, 0);
+  EXPECT_EQ(cold.reattached, 0);
+  EXPECT_LT(warm.ms, cold.ms) << "warm " << warm.ms << " ms, cold "
+                              << cold.ms << " ms";
+
   serving->Stop();
-  const std::string command = std::string("rm -rf '") + dir_template + "'";
+  const std::string command = "rm -rf '" + root + "'";
   ASSERT_EQ(std::system(command.c_str()), 0);
 }
 
